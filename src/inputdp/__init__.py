@@ -18,6 +18,7 @@ from .calibration import (
     NoiseRidgeBounds,
     ThresholdEnvelope,
     calibrate,
+    explicit_ridge,
     linear_noise_variance,
     local_dp_asymptote,
     local_dp_level,
@@ -53,7 +54,7 @@ from .loss import (
 )
 from .perturb import (
     NoiseRecord,
-    PerturbedExample,
+    Release,
     RngStream,
     gaussian_release,
     perturb_dataset,

@@ -30,6 +30,7 @@ from scipy.special import ndtr
 from .calibration import (
     NoiseCalibration,
     calibrate,
+    explicit_ridge,
     local_dp_asymptote,
     local_dp_level,
     noise_ridge_bounds,
@@ -38,7 +39,7 @@ from .calibration import (
 )
 from .core import Dataset, LossConstants, ModelVector, PrivacyBudget
 from .loss import LossSpec, empirical_objective
-from .perturb import NoiseRecord, PerturbedExample, RngStream, perturb_dataset
+from .perturb import NoiseRecord, RngStream, perturb_dataset
 from .solver import (
     QuadraticProgram,
     SolverConfig,
@@ -155,14 +156,14 @@ def reconstruct_objective_identity(
     wa = _model_array(w)
     q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
     n = len(dataset)
-    explicit_ridge = reg_cap - ridge_floor(spec.constants.smoothness, epsilon)
+    ridge = reg_cap - ridge_floor(spec.constants.smoothness, epsilon)
 
     q_released = q_stats + record.quad_noise
     p_released = p_stats - record.linear_noise
     qw = q_released @ wa
     lhs = float(
         np.mean(0.5 * qw * qw - p_released @ wa + s_stats)
-        + explicit_ridge / (2.0 * n) * (wa @ wa)
+        + ridge / (2.0 * n) * (wa @ wa)
     )
 
     clean_qw = q_stats @ wa
@@ -173,7 +174,7 @@ def reconstruct_objective_identity(
     rhs = (
         mean_loss
         + float(b @ wa) / n
-        + (interaction + explicit_ridge * float(wa @ wa)) / (2.0 * n)
+        + (interaction + ridge * float(wa @ wa)) / (2.0 * n)
     )
     return lhs, rhs
 
@@ -367,11 +368,7 @@ def noise_free_gap(
     constants = spec.constants
     q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
     n = len(dataset)
-    explicit_ridge = reg_cap - ridge_floor(constants.smoothness, epsilon)
-    if explicit_ridge < 0:
-        raise ValueError(
-            f"reg_cap = {reg_cap:.6g} is below the ridge floor; no guarantee applies"
-        )
+    ridge = explicit_ridge(reg_cap, constants.smoothness, epsilon)
     q_released = q_stats + record.quad_noise
     b = record.linear_total
 
@@ -382,11 +379,11 @@ def noise_free_gap(
         A=a_noisy,
         b_lin=base_lin + record.linear_total / n,
         c0=c0,
-        reg=explicit_ridge / n,
+        reg=ridge / n,
         radius=constants.radius,
     )
     noise_free = QuadraticProgram(
-        A=a_noisy, b_lin=base_lin, c0=c0, reg=explicit_ridge / n, radius=constants.radius
+        A=a_noisy, b_lin=base_lin, c0=c0, reg=ridge / n, radius=constants.radius
     )
     w_noisy = _solved(noisy, config)
     w_free = _solved(noise_free, config)

@@ -23,7 +23,7 @@ for the noise scale gives :func:`quad_noise_threshold`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .core import LossConstants, PrivacyBudget
@@ -44,6 +44,21 @@ class CalibrationInfeasibleError(ValueError):
 def ridge_floor(smoothness: float, epsilon: float) -> float:
     """Minimum total ridge coefficient the privacy argument needs."""
     return 2.0 * smoothness / epsilon
+
+
+def explicit_ridge(reg_cap: float, smoothness: float, epsilon: float) -> float:
+    """Ridge left to add explicitly, reg_cap - ridge_floor.
+
+    Raises ValueError when reg_cap is below the ridge floor: no privacy
+    guarantee applies to a solve with that cap.
+    """
+    floor = ridge_floor(smoothness, epsilon)
+    if reg_cap < floor:
+        raise ValueError(
+            f"reg_cap = {reg_cap:.6g} is below the ridge floor {floor:.6g}; "
+            "the privacy argument requires reg_cap >= 2 * smoothness / epsilon"
+        )
+    return reg_cap - floor
 
 
 def linear_noise_variance(budget: PrivacyBudget, lipschitz: float) -> float:
@@ -285,6 +300,10 @@ class LocalPrivacyLevel:
     epsilon_declared_bounds: float | None
     delta: float
     noise_constant: float
+
+    def to_dict(self) -> dict:
+        """Plain-dict form for report echoing, keyed by field name."""
+        return asdict(self)
 
 
 def local_dp_level(

@@ -52,17 +52,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     budget = scale_budget(PrivacyBudget(args.epsilon, args.delta), args.alpha)
     spec = make_loss(args.task, args.radius, args.dim)
     cal = calibrate(budget, args.n, spec.constants, slack=args.slack)
-    level = local_dp_level(cal, spec.bound_q, spec.bound_p)
     payload = {
         "calibration": cal.to_dict(),
         "ridge_floor": cal.ridge_floor,
         "recommended_reg_cap": recommend_reg_cap(spec.constants, budget),
-        "local_privacy": {
-            "epsilon_constants_convention": level.epsilon_constants_convention,
-            "epsilon_declared_bounds": level.epsilon_declared_bounds,
-            "delta": level.delta,
-            "noise_constant": level.noise_constant,
-        },
+        "local_privacy": local_dp_level(cal, spec.bound_q, spec.bound_p).to_dict(),
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -94,7 +88,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     released = read_perturbed_csv(args.input)
-    spec = make_loss(args.task, args.radius, released[0].dim)
+    spec = make_loss(args.task, args.radius, released.dim)
     budget = scale_budget(PrivacyBudget(args.epsilon, args.delta), args.alpha)
     cal = calibrate(budget, len(released), spec.constants, slack=args.slack)
     reg_cap = args.reg_cap

@@ -501,15 +501,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     }
     for n in sorted(infeasible):
         calibration_echo[str(n)] = {"infeasible": True, "min_feasible_n": infeasible[n]}
-    local_privacy = {}
-    for n in sorted(calibrations):
-        level = local_dp_level(calibrations[n], spec.bound_q, spec.bound_p)
-        local_privacy[str(n)] = {
-            "epsilon_constants_convention": level.epsilon_constants_convention,
-            "epsilon_declared_bounds": level.epsilon_declared_bounds,
-            "delta": level.delta,
-            "noise_constant": level.noise_constant,
-        }
+    local_privacy = {
+        str(n): local_dp_level(calibrations[n], spec.bound_q, spec.bound_p).to_dict()
+        for n in sorted(calibrations)
+    }
     return ExperimentReport(
         config=config.to_dict(),
         metric_name=config.metric_name,

@@ -5,18 +5,25 @@ Gaussian noise to q, subtracts Gaussian noise from p, and releases the
 result.  Per-coordinate noise variances are (quad_noise_var / n) and
 (linear_noise_var / n) from a :class:`~inputdp.calibration.NoiseCalibration`,
 so the *aggregated* noise across n contributors has the calibrated scale.
+The releases of a whole cohort are held in one :class:`Release`: arrays
+Q (n, d), P (n, d) and S (n,), row i being contributor i's statistics.
 
 Randomness is organized as explicit streams: an :class:`RngStream` is a
 (seed, path) pair mapped to an independent numpy generator, so that each
 contributor can own a stream and outputs are reproducible regardless of
 evaluation order.  Within one example's stream the draw order is fixed:
-quadratic noise first, then linear noise.
+quadratic noise first, then linear noise.  Contributor i of a dataset
+draws from ``rng.child(i)``; :meth:`RngStream.child_normals` produces
+all n contributors' draws at once, bit for bit equal to building each
+child's generator, by hashing the n seed sequences in NumPy and
+reseeding one reused PCG64 per contributor.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,6 +32,37 @@ import numpy as np
 from .calibration import NoiseCalibration
 from .core import Dataset, PrivacyBudget
 from .loss import LossSpec, QuadraticForm
+
+# numpy's SeedSequence hash constants (pool of four uint32 words) and the
+# PCG64 multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# generate_state(4, uint64) hashes eight words cycling over the pool; the
+# hash constant before and after each word's step does not depend on the data.
+_STATE_SLOT = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+_STATE_HASH = np.array(
+    [(_INIT_B * pow(_MULT_B, i, 1 << 32)) & _MASK32 for i in range(2 * _POOL_SIZE + 1)],
+    dtype=np.uint32,
+)
+# Keys hashed and reseeded per batch, and rows formatted per write: bound
+# the Python ints, floats and strings alive at once.
+_CHILD_BATCH = 4096
+_CSV_ROWS = 1024
+
+
+def _word_count(value: int) -> int:
+    """Number of 32-bit words SeedSequence splits a non-negative int into
+    (0 takes one word)."""
+    return max(1, -(-value.bit_length() // 32))
 
 
 @dataclass(frozen=True)
@@ -54,31 +92,100 @@ class RngStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
 
+    def child_state_words(self, start: int, stop: int) -> np.ndarray:
+        """Seed words of children ``start .. stop-1``, shape (stop-start, 4).
+
+        Row j equals ``SeedSequence(seed, spawn_key=path + (start+j,))
+        .generate_state(4, np.uint64)``, the words PCG64 seeds from.  The
+        child index is the last entropy word, so its seed sequence starts
+        from this stream's pool and folds the index into each pool word
+        with the hash constant reached after the 4 * (prefix words) steps
+        before it; every step is one uint32 array operation over the
+        children.  Child indices must stay below 2^32 (one spawn-key word).
+        """
+        if not 0 <= start <= stop <= 1 << 32:
+            raise ValueError(
+                f"child indices must satisfy 0 <= start <= stop <= 2^32, got {start}..{stop}"
+            )
+        # SeedSequence pads the seed to the pool size before a spawn key.
+        prefix = max(_word_count(self.seed), _POOL_SIZE) + sum(map(_word_count, self.path))
+        start_hash = _INIT_A * pow(_MULT_A, _POOL_SIZE * prefix, 1 << 32)
+        hashes = np.array(
+            [(start_hash * pow(_MULT_A, j, 1 << 32)) & _MASK32 for j in range(_POOL_SIZE + 1)],
+            dtype=np.uint32,
+        )
+        pool = np.random.SeedSequence(self.seed, spawn_key=self.path).pool
+        keys = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)[:, None]
+        # mix(pool[j], hashmix(key)) for each pool word j.
+        mixed = (keys ^ hashes[:-1]) * hashes[1:]
+        mixed ^= mixed >> _XSHIFT
+        pool = pool * np.uint32(_MIX_MULT_L) - mixed * np.uint32(_MIX_MULT_R)
+        pool ^= pool >> _XSHIFT
+        # generate_state: eight hashed words, paired low word first.
+        words = (pool[:, _STATE_SLOT] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+        words ^= words >> _XSHIFT
+        return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
+
+    def child_normals(self, n: int, k: int) -> np.ndarray:
+        """Standard normals of children 0..n-1, shape (n, k).
+
+        Row i equals ``self.child(i).generator().standard_normal(k)`` bit
+        for bit.  Instead of a new SeedSequence, PCG64 and Generator per
+        child, the seed words come from :meth:`child_state_words` and one
+        PCG64 is reseeded by assigning the state its seeding would reach:
+        inc = 2 seq + 1, state = (inc + initstate) * MULT + inc (mod 2^128).
+        """
+        if not (0 <= n <= 1 << 32 and k >= 0):
+            raise ValueError(f"need 0 <= n <= 2^32 and k >= 0, got n = {n}, k = {k}")
+        out = np.empty((n, k))
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        inner = state["state"]
+        for start in range(0, n, _CHILD_BATCH):
+            stop = min(start + _CHILD_BATCH, n)
+            words = self.child_state_words(start, stop).tolist()
+            for row, (s_hi, s_lo, q_hi, q_lo) in zip(out[start:stop], words):
+                inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+                inner["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+                inner["inc"] = inc
+                bitgen.state = state
+                gen.standard_normal(out=row)
+        return out
+
 
 @dataclass(frozen=True)
-class PerturbedExample:
-    """A contributor's released (noisy) statistics."""
+class Release:
+    """Released (noisy) statistics of n contributors.
 
-    q: np.ndarray
-    p: np.ndarray
-    s: float
+    Row i of ``Q`` (n, d), ``P`` (n, d) and ``S`` (n,) is contributor
+    i's release.  The arrays are validated once (shapes, finiteness),
+    stored as C-contiguous float64 and made read-only.
+    """
+
+    Q: np.ndarray
+    P: np.ndarray
+    S: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=np.float64)
-        p = np.asarray(self.p, dtype=np.float64)
-        if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape:
+        q, p, s = (np.ascontiguousarray(a, dtype=np.float64) for a in (self.Q, self.P, self.S))
+        if q.ndim != 2 or p.shape != q.shape or s.shape != q.shape[:1]:
             raise ValueError(
-                f"q and p must be 1-D vectors of equal length, got {q.shape} and {p.shape}"
+                f"Q and P must be (n, d) and S (n,), got {q.shape}, {p.shape} and {s.shape}"
             )
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p)) and math.isfinite(self.s)):
+        if not (np.isfinite(q).all() and np.isfinite(p).all() and np.isfinite(s).all()):
             raise ValueError("perturbed statistics must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", float(self.s))
+        for name, arr in (("Q", q), ("P", p), ("S", s)):
+            view = arr.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __len__(self) -> int:
+        return self.Q.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.q.shape[0]
+        return self.Q.shape[1]
 
 
 @dataclass(frozen=True)
@@ -108,7 +215,7 @@ def perturb_example(
     *,
     record_noise: bool = False,
 ):
-    """Randomize one contributor's statistics.
+    """Randomize one contributor's statistics into a 1-row :class:`Release`.
 
     Draws quadratic noise then linear noise from the given stream, each
     with per-coordinate sd (calibrated sd) / sqrt(n).  With
@@ -124,7 +231,7 @@ def perturb_example(
     root_n = math.sqrt(cal.n)
     u = gen.standard_normal(form.dim) * (cal.quad_noise_sd / root_n)
     r = gen.standard_normal(form.dim) * (cal.linear_noise_sd / root_n)
-    released = PerturbedExample(q=form.q + u, p=form.p - r, s=form.s)
+    released = Release(Q=(form.q + u)[None, :], P=(form.p - r)[None, :], S=np.array([form.s]))
     if record_noise:
         return released, u, r
     return released
@@ -152,18 +259,10 @@ def perturb_dataset(
     q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
     n, dim = q_stats.shape
     root_n = math.sqrt(n)
-    quad_scale = cal.quad_noise_sd / root_n
-    linear_scale = cal.linear_noise_sd / root_n
-    quad_noise = np.empty((n, dim))
-    linear_noise = np.empty((n, dim))
-    for i in range(n):
-        gen = rng.child(i).generator()
-        quad_noise[i] = gen.standard_normal(dim) * quad_scale
-        linear_noise[i] = gen.standard_normal(dim) * linear_scale
-    released = [
-        PerturbedExample(q=q_stats[i] + quad_noise[i], p=p_stats[i] - linear_noise[i], s=float(s_stats[i]))
-        for i in range(n)
-    ]
+    draws = rng.child_normals(n, 2 * dim)
+    quad_noise = draws[:, :dim] * (cal.quad_noise_sd / root_n)
+    linear_noise = draws[:, dim:] * (cal.linear_noise_sd / root_n)
+    released = Release(Q=q_stats + quad_noise, P=p_stats - linear_noise, S=s_stats)
     if record_noise:
         return released, NoiseRecord(quad_noise=quad_noise, linear_noise=linear_noise)
     return released
@@ -210,29 +309,25 @@ def _csv_header(dim: int) -> list[str]:
     )
 
 
-def write_perturbed_csv(path, released: list[PerturbedExample]) -> None:
+def write_perturbed_csv(path, released: Release) -> None:
     """Write released statistics as CSV with shortest round-trip floats.
 
     Columns are q_0..q_{d-1}, p_0..p_{d-1}, s; values are written with
-    ``repr`` so a read-back reproduces every float bit for bit.
+    ``repr`` so a read-back reproduces every float bit for bit.  Lines
+    end in CRLF and no field needs quoting, so the bytes are exactly
+    what ``csv.writer`` would write.
     """
-    if not released:
-        raise ValueError("nothing to write: empty release list")
-    dim = released[0].dim
-    if any(pe.dim != dim for pe in released):
-        raise ValueError("released statistics have inconsistent dimensions")
+    if len(released) == 0:
+        raise ValueError("nothing to write: empty release")
+    table = np.column_stack([released.Q, released.P, released.S])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(dim))
-        for pe in released:
-            writer.writerow(
-                [repr(float(v)) for v in pe.q]
-                + [repr(float(v)) for v in pe.p]
-                + [repr(pe.s)]
-            )
+        fh.write(",".join(_csv_header(released.dim)) + "\r\n")
+        for start in range(0, len(table), _CSV_ROWS):
+            rows = table[start : start + _CSV_ROWS].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
-def read_perturbed_csv(path) -> list[PerturbedExample]:
+def read_perturbed_csv(path) -> Release:
     """Read back a file written by :func:`write_perturbed_csv`."""
     with open(path, newline="") as fh:
         rows: Iterator[list[str]] = iter(csv.reader(fh))
@@ -245,14 +340,12 @@ def read_perturbed_csv(path) -> list[PerturbedExample]:
         dim = (len(header) - 1) // 2
         if header != _csv_header(dim):
             raise ValueError(f"{path}: unexpected column names for dim {dim}")
-        released = []
+        values = array("d")
         for line_no, row in enumerate(rows, start=2):
             if len(row) != 2 * dim + 1:
                 raise ValueError(f"{path}:{line_no}: expected {2 * dim + 1} fields, got {len(row)}")
-            values = [float(v) for v in row]
-            released.append(
-                PerturbedExample(q=values[:dim], p=values[dim : 2 * dim], s=values[-1])
-            )
-    if not released:
+            values.extend(map(float, row))
+    if not values:
         raise ValueError(f"{path}: no data rows")
-    return released
+    table = np.frombuffer(values, dtype=np.float64).reshape(-1, 2 * dim + 1)
+    return Release(Q=table[:, :dim], P=table[:, dim : 2 * dim], S=table[:, -1])

@@ -40,13 +40,13 @@ import numpy as np
 
 from .calibration import (
     NoiseCalibration,
+    explicit_ridge,
     linear_noise_variance,
     recommend_reg_cap,
-    ridge_floor,
 )
 from .core import Dataset, LossConstants, ModelVector, PrivacyBudget, project_to_ball
 from .loss import LossSpec
-from .perturb import PerturbedExample, RngStream
+from .perturb import Release, RngStream
 
 if os.environ.get("INPUTDP_PURE_PYTHON"):
     from . import _pgd_fallback as _kernel_module
@@ -266,7 +266,7 @@ def assemble_plain(dataset: Dataset, spec: LossSpec, reg_coeff: float = 0.0) -> 
 
 
 def assemble_released(
-    released: list[PerturbedExample],
+    released: Release,
     constants: LossConstants,
     budget: PrivacyBudget,
     reg_cap: float,
@@ -277,23 +277,15 @@ def assemble_released(
     event the noise-induced ridge covers at least the floor, so the total
     effective ridge clears reg_cap's intent without double-charging.
     """
-    if not released:
+    if len(released) == 0:
         raise ValueError("no released statistics to aggregate")
-    floor = ridge_floor(constants.smoothness, budget.epsilon)
-    if reg_cap < floor:
-        raise ValueError(
-            f"reg_cap = {reg_cap:.6g} is below the ridge floor {floor:.6g}; "
-            "the privacy argument requires reg_cap >= 2 * smoothness / epsilon"
-        )
-    q_stats = np.stack([pe.q for pe in released])
-    p_stats = np.stack([pe.p for pe in released])
-    s_mean = float(np.mean([pe.s for pe in released]))
+    ridge = explicit_ridge(reg_cap, constants.smoothness, budget.epsilon)
     n = len(released)
     return QuadraticProgram(
-        A=q_stats.T @ q_stats / n,
-        b_lin=-p_stats.mean(axis=0),
-        c0=s_mean,
-        reg=(reg_cap - floor) / n,
+        A=released.Q.T @ released.Q / n,
+        b_lin=-released.P.mean(axis=0),
+        c0=float(released.S.mean()),
+        reg=ridge / n,
         radius=constants.radius,
     )
 
@@ -310,7 +302,7 @@ def learn_non_private(
 
 
 def learn_input_perturbed(
-    released: list[PerturbedExample],
+    released: Release,
     constants: LossConstants,
     budget: PrivacyBudget,
     reg_cap: float | None = None,
@@ -348,12 +340,7 @@ def learn_objective_perturbed(
     constants = spec.constants
     if reg_cap is None:
         reg_cap = recommend_reg_cap(constants, budget)
-    floor = ridge_floor(constants.smoothness, budget.epsilon)
-    if reg_cap < floor:
-        raise ValueError(
-            f"reg_cap = {reg_cap:.6g} is below the ridge floor {floor:.6g}; "
-            "the privacy argument requires reg_cap >= 2 * smoothness / epsilon"
-        )
+    explicit_ridge(reg_cap, constants.smoothness, budget.epsilon)  # refuses a cap below the floor
     n = len(dataset)
     if noise_override is not None:
         b = np.asarray(noise_override, dtype=np.float64)

@@ -1,9 +1,9 @@
 """Shared fixtures.
 
 The flagship experiment (d = 14, eps = 1, delta = 0.01, five n values up
-to 2^15, 50 trials) is expensive (~1.5 min), so one session-scoped run
-is shared by the acceptance tests that read its slope / RMSE rows and by
-the harness trend-invariant tests.
+to 2^15, 50 trials) is the slowest fixture: about 12 s with 4 workers on
+a 2-core host.  One session-scoped run is shared by the acceptance tests
+that read its slope / RMSE rows and by the harness trend-invariant tests.
 """
 
 from __future__ import annotations

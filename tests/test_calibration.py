@@ -18,6 +18,7 @@ from inputdp import (
     LossConstants,
     PrivacyBudget,
     calibrate,
+    explicit_ridge,
     linear_noise_variance,
     local_dp_asymptote,
     local_dp_level,
@@ -38,6 +39,12 @@ class TestScalars:
     def test_ridge_floor(self):
         assert ridge_floor(1.0, 1.0) == 2.0
         assert ridge_floor(0.25, 0.5) == 1.0
+
+    def test_explicit_ridge_is_cap_minus_floor(self):
+        assert explicit_ridge(2.5, 1.0, 1.0) == 0.5
+        assert explicit_ridge(1.0, 0.25, 0.5) == 0.0
+        with pytest.raises(ValueError, match="below the ridge floor 2"):
+            explicit_ridge(1.9, 1.0, 1.0)
 
     def test_linear_noise_variance_frozen_value(self):
         # zeta^2 (8 log(2/delta') + 4 eps) / eps^2 at eps=1, delta'=0.005, zeta=1
@@ -190,6 +197,15 @@ class TestLocalPrivacy:
         )
         assert level.delta == pytest.approx(0.02)
         assert level.noise_constant == pytest.approx(3.1075114600922396, rel=1e-15)
+
+    def test_to_dict_names_every_field(self):
+        level = local_dp_level(calibrate(BUDGET, 1024, CONSTANTS_D14))
+        assert level.to_dict() == {
+            "epsilon_constants_convention": level.epsilon_constants_convention,
+            "epsilon_declared_bounds": None,
+            "delta": level.delta,
+            "noise_constant": level.noise_constant,
+        }
 
     def test_declared_bounds_absent_when_not_supplied(self):
         cal = calibrate(BUDGET, 1024, CONSTANTS_D14)

@@ -2,24 +2,30 @@
 
 Monte-Carlo expectations (moment checks, aggregate variance, covariance)
 were computed once under the pinned seeds and frozen here with their
-standard-error tolerances.
+standard-error tolerances.  The batched child streams are checked
+against NumPy's own SeedSequence, PCG64 and Generator, and the release
+file against the standard library's ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inputdp import (
     Dataset,
     Example,
     LossConstants,
     NoiseCalibration,
-    PerturbedExample,
     PrivacyBudget,
     QuadraticForm,
+    Release,
     RngStream,
     gaussian_release,
     linear_regression_loss,
@@ -69,29 +75,127 @@ class TestRngStream:
             RngStream(1, path=(0, -2))
 
 
+def numpy_child_generator(seed, path, i):
+    """Child i's generator built from NumPy alone (the oracle)."""
+    seq = np.random.SeedSequence(seed, spawn_key=tuple(path) + (i,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+# Seeds below 2^32, at or above 2^32 (two words) and at or above 2^64
+# (three words); path entries up to 2^70 (several words each).
+SEEDS = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**80)
+)
+PATHS = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)), max_size=4)
+
+
+class TestBatchedChildStreams:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, path=PATHS, start=st.integers(0, 2**32 - 8), count=st.integers(0, 8))
+    def test_state_words_match_seed_sequence(self, seed, path, start, count):
+        words = RngStream(seed, path=tuple(path)).child_state_words(start, start + count)
+        assert words.dtype == np.uint64 and words.shape == (count, 4)
+        for j in range(count):
+            seq = np.random.SeedSequence(seed, spawn_key=tuple(path) + (start + j,))
+            assert np.array_equal(words[j], seq.generate_state(4, np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, path=PATHS, n=st.integers(0, 12), k=st.integers(0, 9))
+    def test_child_normals_match_numpy_generators(self, seed, path, n, k):
+        rows = RngStream(seed, path=tuple(path)).child_normals(n, k)
+        assert rows.shape == (n, k)
+        for i in range(n):
+            assert np.array_equal(rows[i], numpy_child_generator(seed, path, i).standard_normal(k))
+
+    def test_child_normals_over_1e5_keys(self):
+        # Crosses the batching chunk boundaries many times over.
+        seed, path, n, k = 2**40 + 7, (2, 1, 128, 0), 100_000, 3
+        rows = RngStream(seed, path=path).child_normals(n, k)
+        for i in range(n):
+            assert np.array_equal(rows[i], numpy_child_generator(seed, path, i).standard_normal(k))
+
+    def test_one_call_equals_child_generators_two_calls(self):
+        stream = RngStream(12345678901234, path=(1, 2**33, 4))
+        rows = stream.child_normals(20, 10)
+        for i in range(20):
+            gen = stream.child(i).generator()
+            assert np.array_equal(rows[i, :5], gen.standard_normal(5))
+            assert np.array_equal(rows[i, 5:], gen.standard_normal(5))
+
+    def test_last_one_word_keys(self):
+        start = 2**32 - 3
+        words = RngStream(5, path=(3,)).child_state_words(start, 2**32)
+        for j in range(3):
+            seq = np.random.SeedSequence(5, spawn_key=(3, start + j))
+            assert np.array_equal(words[j], seq.generate_state(4, np.uint64))
+
+    def test_keys_of_two_words_rejected(self):
+        # Child indices >= 2^32 take two spawn-key words; the batched hash
+        # covers one, so such ranges are refused before any work.
+        stream = RngStream(0)
+        with pytest.raises(ValueError, match="2\\^32"):
+            stream.child_state_words(2**32, 2**32 + 1)
+        with pytest.raises(ValueError, match="2\\^32"):
+            stream.child_normals(2**32 + 1, 0)
+        with pytest.raises(ValueError, match="start <= stop"):
+            stream.child_state_words(5, 4)
+        with pytest.raises(ValueError, match="0 <= n"):
+            stream.child_normals(-1, 2)
+        with pytest.raises(ValueError, match="k >= 0"):
+            stream.child_normals(2, -1)
+
+
+class TestRelease:
+    def test_holds_contiguous_read_only_float_arrays(self):
+        table = np.arange(12.0).reshape(3, 4)
+        release = Release(Q=table[:, :2], P=table[:, 2:], S=[1, 2, 3])
+        assert len(release) == 3 and release.dim == 2
+        for arr in (release.Q, release.P, release.S):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            assert not arr.flags.writeable
+        assert np.array_equal(release.P, [[2.0, 3.0], [6.0, 7.0], [10.0, 11.0]])
+        assert table.flags.writeable
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="must be"):
+            Release(Q=np.zeros((2, 2)), P=np.zeros((2, 3)), S=np.zeros(2))
+        with pytest.raises(ValueError, match="must be"):
+            Release(Q=np.zeros((2, 2)), P=np.zeros((2, 2)), S=np.zeros(3))
+        with pytest.raises(ValueError, match="must be"):
+            Release(Q=np.zeros(2), P=np.zeros(2), S=np.zeros(1))
+
+    @pytest.mark.parametrize("field", ["Q", "P", "S"])
+    def test_rejects_non_finite(self, field):
+        arrays = {"Q": np.zeros((2, 2)), "P": np.zeros((2, 2)), "S": np.zeros(2)}
+        arrays[field].flat[-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Release(**arrays)
+
+
 class TestPerturbExample:
     def test_zero_variance_is_identity(self):
         cal = make_calibration(4, 3, 0.0, 0.0)
         form = QuadraticForm(q=np.array([0.1, 0.2, 0.3]), p=np.array([0.4, 0.5, 0.6]), s=0.7)
         out = perturb_example(form, cal, RngStream(0))
-        assert np.array_equal(out.q, form.q)
-        assert np.array_equal(out.p, form.p)
-        assert out.s == form.s
+        assert len(out) == 1
+        assert np.array_equal(out.Q[0], form.q)
+        assert np.array_equal(out.P[0], form.p)
+        assert out.S[0] == form.s
 
     def test_recorded_noise_reconstructs_release(self):
         cal = make_calibration(9, 2, 2.0, 3.0)
         form = QuadraticForm(q=np.array([0.1, -0.2]), p=np.array([0.3, 0.4]), s=1.0)
         out, u, r = perturb_example(form, cal, RngStream(5, path=(8,)), record_noise=True)
-        assert np.array_equal(out.q, form.q + u)
-        assert np.array_equal(out.p, form.p - r)
-        assert out.s == form.s
+        assert np.array_equal(out.Q[0], form.q + u)
+        assert np.array_equal(out.P[0], form.p - r)
+        assert out.S[0] == form.s
 
     def test_deterministic_given_stream(self):
         cal = make_calibration(9, 2, 2.0, 3.0)
         form = QuadraticForm(q=np.zeros(2), p=np.zeros(2), s=0.0)
         a = perturb_example(form, cal, RngStream(5, path=(8,)))
         b = perturb_example(form, cal, RngStream(5, path=(8,)))
-        assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
+        assert np.array_equal(a.Q, b.Q) and np.array_equal(a.P, b.P)
 
     def test_dimension_mismatch_rejected(self):
         cal = make_calibration(9, 3, 1.0, 1.0)
@@ -107,7 +211,7 @@ class TestPerturbExample:
         root = RngStream(7, path=(50,))
         draws = np.empty((100_000, 3))
         for i in range(100_000):
-            draws[i] = perturb_example(form, cal, root.child(i)).q - form.q
+            draws[i] = perturb_example(form, cal, root.child(i)).Q[0] - form.q
         max_mean = np.abs(draws.mean(axis=0)).max()
         assert max_mean == pytest.approx(0.0011842876241235662, rel=1e-9)
         assert max_mean <= 4.0 * math.sqrt(0.02 / 100_000)
@@ -129,9 +233,9 @@ class TestPerturbDataset:
         assert len(released) == n
         for i in range(n):
             single = perturb_example(spec.encoder(ds[i]), cal, root.child(i))
-            assert np.array_equal(released[i].q, single.q)
-            assert np.array_equal(released[i].p, single.p)
-            assert released[i].s == single.s
+            assert np.array_equal(released.Q[i], single.Q[0])
+            assert np.array_equal(released.P[i], single.P[0])
+            assert released.S[i] == single.S[0]
 
     def test_size_mismatch_rejected(self):
         spec = linear_regression_loss(dim=2, radius=1.0)
@@ -202,37 +306,57 @@ class TestGaussianRelease:
             gaussian_release(np.zeros((2, 2)), 1.0, PrivacyBudget(0.5, 0.01), RngStream(0))
 
 
+def random_release(gen, n, d):
+    return Release(Q=gen.normal(size=(n, d)), P=gen.normal(size=(n, d)), S=gen.normal(size=n))
+
+
 class TestCsvRoundTrip:
     def test_bitwise_round_trip(self, tmp_path):
-        gen = np.random.default_rng(31)
-        released = [
-            PerturbedExample(q=gen.normal(size=3), p=gen.normal(size=3), s=float(gen.normal()))
-            for _ in range(10)
-        ]
+        released = random_release(np.random.default_rng(31), 10, 3)
         path = tmp_path / "released.csv"
         write_perturbed_csv(path, released)
         back = read_perturbed_csv(path)
         assert len(back) == len(released)
-        for a, b in zip(released, back):
-            assert np.array_equal(a.q, b.q)
-            assert np.array_equal(a.p, b.p)
-            assert a.s == b.s
+        assert np.array_equal(back.Q, released.Q)
+        assert np.array_equal(back.P, released.P)
+        assert np.array_equal(back.S, released.S)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # The file format is what csv.writer makes of repr'd floats,
+        # CRLF line ends included; negative zero and extreme magnitudes
+        # keep their exact spelling.
+        gen = np.random.default_rng(32)
+        q = gen.normal(size=(9, 4)) * np.exp(gen.uniform(-300, 300, size=(9, 4)))
+        q[0, 0], q[1, 1], q[2, 2] = -0.0, 5e-324, 1.7976931348623157e308
+        released = Release(Q=q, P=-q[::-1], S=gen.normal(size=9))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow([f"q_{j}" for j in range(4)] + [f"p_{j}" for j in range(4)] + ["s"])
+        for i in range(9):
+            writer.writerow(
+                [repr(float(v)) for v in released.Q[i]]
+                + [repr(float(v)) for v in released.P[i]]
+                + [repr(float(released.S[i]))]
+            )
+        path = tmp_path / "released.csv"
+        write_perturbed_csv(path, released)
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert path.read_bytes().count(b"\r\n") == 10
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "released.csv"
-        write_perturbed_csv(path, [PerturbedExample(q=np.zeros(2), p=np.zeros(2), s=0.0)])
+        write_perturbed_csv(path, Release(Q=np.zeros((1, 2)), P=np.zeros((1, 2)), S=np.zeros(1)))
         header = path.read_text().splitlines()[0]
         assert header == "q_0,q_1,p_0,p_1,s"
 
     def test_write_rejects_empty_and_ragged(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            write_perturbed_csv(tmp_path / "x.csv", [])
-        ragged = [
-            PerturbedExample(q=np.zeros(2), p=np.zeros(2), s=0.0),
-            PerturbedExample(q=np.zeros(3), p=np.zeros(3), s=0.0),
-        ]
-        with pytest.raises(ValueError, match="inconsistent"):
-            write_perturbed_csv(tmp_path / "x.csv", ragged)
+            write_perturbed_csv(
+                tmp_path / "x.csv", Release(Q=np.zeros((0, 2)), P=np.zeros((0, 2)), S=np.zeros(0))
+            )
+        # A ragged release cannot be built, so it never reaches the writer.
+        with pytest.raises(ValueError, match="must be"):
+            Release(Q=np.zeros((2, 2)), P=np.zeros((2, 3)), S=np.zeros(2))
 
     def test_read_rejects_malformed_files(self, tmp_path):
         empty = tmp_path / "empty.csv"

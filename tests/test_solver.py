@@ -23,6 +23,7 @@ from inputdp import (
     NoiseCalibration,
     PrivacyBudget,
     QuadraticProgram,
+    Release,
     RngStream,
     SolverConfig,
     SolverNonConvergenceError,
@@ -348,7 +349,12 @@ class TestAssembly:
     def test_released_rejects_empty_and_low_cap(self):
         spec = linear_regression_loss(dim=2, radius=1.0)
         with pytest.raises(ValueError, match="no released"):
-            assemble_released([], spec.constants, BUDGET, reg_cap=3.0)
+            assemble_released(
+                Release(Q=np.zeros((0, 2)), P=np.zeros((0, 2)), S=np.zeros(0)),
+                spec.constants,
+                BUDGET,
+                reg_cap=3.0,
+            )
         gen = np.random.default_rng(16)
         ds = random_dataset(gen, 5, 2)
         cal = NoiseCalibration(
@@ -445,7 +451,8 @@ class TestLearnInputPerturbed:
             quad_noise_var=cal.quad_noise_var,
         )
         released = perturb_dataset(ds, spec, cal, RngStream(2))
-        shuffled = [released[i] for i in np.random.default_rng(0).permutation(20)]
+        perm = np.random.default_rng(0).permutation(20)
+        shuffled = Release(Q=released.Q[perm], P=released.P[perm], S=released.S[perm])
         w_a = learn_input_perturbed(released, spec.constants, BUDGET)
         w_b = learn_input_perturbed(shuffled, spec.constants, BUDGET)
         assert np.allclose(w_a.w, w_b.w, rtol=0, atol=1e-9)
