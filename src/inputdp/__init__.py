@@ -64,12 +64,9 @@ from .perturb import (
 )
 from .solver import (
     QuadraticProgram,
-    SolverConfig,
-    SolverNonConvergenceError,
     SolverResult,
     assemble_plain,
     assemble_released,
-    kernel_backend,
     learn_input_perturbed,
     learn_non_private,
     learn_objective_perturbed,

@@ -42,8 +42,6 @@ from .loss import LossSpec, empirical_objective
 from .perturb import NoiseRecord, RngStream, perturb_dataset
 from .solver import (
     QuadraticProgram,
-    SolverConfig,
-    SolverNonConvergenceError,
     assemble_plain,
     learn_non_private,
     minimize_ball_constrained,
@@ -52,6 +50,7 @@ from .solver import (
 __all__ = [
     "CoverageReport",
     "NoiseRecord",
+    "clamp_excess_risk",
     "dp_verifier_gaussian_1d",
     "excess_empirical_risk",
     "noise_free_gap",
@@ -64,7 +63,7 @@ __all__ = [
     "worst_case_quad_stats",
 ]
 
-# Clean excess-risk values this close below zero are solver roundoff.
+# Excess-risk values this close below zero are roundoff.
 _EXCESS_CLAMP = 1e-10
 
 
@@ -103,36 +102,24 @@ def _model_array(w) -> np.ndarray:
     return np.asarray(w, dtype=np.float64)
 
 
-def _solved(program: QuadraticProgram, config: SolverConfig | None) -> np.ndarray:
-    result = minimize_ball_constrained(program, config)
-    if not result.converged:
-        cfg = config or SolverConfig()
-        raise SolverNonConvergenceError(
-            iterations=result.iterations, residual=result.residual, tol=cfg.tol
-        )
-    return result.w
-
-
-def excess_empirical_risk(
-    dataset: Dataset,
-    spec: LossSpec,
-    w,
-    baseline=None,
-    config: SolverConfig | None = None,
-) -> float:
-    """Unregularized empirical risk of ``w`` above the in-ball minimizer.
-
-    ``baseline`` (the minimizer) is computed if not supplied.  Values
-    within solver roundoff below zero are clamped to zero.
-    """
-    if baseline is None:
-        baseline = learn_non_private(dataset, spec, reg_coeff=0.0, config=config)
-    value = empirical_objective(dataset, spec, w) - empirical_objective(
-        dataset, spec, baseline
-    )
+def clamp_excess_risk(value: float) -> float:
+    """An excess risk with roundoff below zero (down to -1e-10) set to 0."""
     if -_EXCESS_CLAMP <= value < 0.0:
         return 0.0
     return value
+
+
+def excess_empirical_risk(dataset: Dataset, spec: LossSpec, w, baseline=None) -> float:
+    """Unregularized empirical risk of ``w`` above the in-ball minimizer.
+
+    ``baseline`` (the minimizer) is computed if not supplied.  Values
+    within roundoff below zero are clamped to zero.
+    """
+    if baseline is None:
+        baseline = learn_non_private(dataset, spec, reg_coeff=0.0)
+    return clamp_excess_risk(
+        empirical_objective(dataset, spec, w) - empirical_objective(dataset, spec, baseline)
+    )
 
 
 def reconstruct_objective_identity(
@@ -348,7 +335,6 @@ def noise_free_gap(
     record: NoiseRecord,
     reg_cap: float,
     epsilon: float,
-    config: SolverConfig | None = None,
 ) -> dict:
     """Distance and utility gap between the noisy minimizer and its
     linear-noise-free counterpart, with their theoretical bounds.
@@ -385,8 +371,8 @@ def noise_free_gap(
     noise_free = QuadraticProgram(
         A=a_noisy, b_lin=base_lin, c0=c0, reg=ridge / n, radius=constants.radius
     )
-    w_noisy = _solved(noisy, config)
-    w_free = _solved(noise_free, config)
+    w_noisy = minimize_ball_constrained(noisy).w
+    w_free = minimize_ball_constrained(noise_free).w
 
     move = w_free - w_noisy
     distance = float(np.linalg.norm(move))

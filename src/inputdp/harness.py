@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import excess_empirical_risk
+from .analysis import clamp_excess_risk
 from .calibration import (
     CalibrationInfeasibleError,
     NoiseCalibration,
@@ -364,8 +364,9 @@ def _run_cell(ctx: _RunContext, n: int, trial: int) -> dict[str, dict[str, float
             model = learn_output_perturbed(
                 train_set, spec, budget.epsilon, rng, reg_strength=config.output_reg
             )
-        raw_excess = empirical_objective(train_set, spec, model) - baseline_objective
-        excess = 0.0 if -1e-10 <= raw_excess < 0.0 else raw_excess
+        excess = clamp_excess_risk(
+            empirical_objective(train_set, spec, model) - baseline_objective
+        )
         out[mechanism] = {
             "excess_risk": float(excess),
             "metric": _evaluate(spec, test_set, model),

@@ -5,17 +5,21 @@ The server-side problem is always
     minimize   (1/2) w'Aw + b.w + c + (reg/2) ||w||^2
     subject to ||w|| <= radius
 
-solved by fixed-step projected gradient descent.  The step is 1/L with L
-the largest eigenvalue of the effective Hessian A + reg*I, estimated by
-power iteration (the Rayleigh-quotient estimate never exceeds L, so the
-estimate is inflated by a hair before inverting; the start vector is a
-fixed slightly tilted all-ones vector so the iteration cannot stall on a
-symmetric orthogonality).
+a convex trust-region subproblem, solved exactly from one symmetric
+eigendecomposition A = V diag(lam) V' (Moré & Sorensen, "Computing a
+Trust Region Step", SIAM J. Sci. Stat. Comput. 4(3), 1983).  With
+g = V'b and h = lam + reg, the minimizer is w = -V (g / (h + nu)) for
+the KKT multiplier nu >= 0:
 
-The inner loop is provided by a small compiled extension
-(``inputdp._pgd``) with a pure-numpy fallback selected at import;
-set INPUTDP_PURE_PYTHON=1 to force the fallback.  The two kernels sum in
-the same order, so results do not depend on which one is active.
+* interior (nu = 0): every component of g on a zero eigenvalue vanishes
+  and the min-norm stationary point lies inside the ball; that point is
+  returned (it is where gradient descent from the origin converges);
+* boundary (nu > 0): nu is the root of the secular equation
+  1/||g / (h + nu)|| = 1/radius, found by safeguarded Newton steps
+  inside a bracket that always contains it.
+
+The decomposition is taken once, when the :class:`QuadraticProgram` is
+built (it is also the program's PSD check), and the solve reuses it.
 
 Four learners share this solver:
 
@@ -33,8 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,38 +51,20 @@ from .core import Dataset, LossConstants, ModelVector, PrivacyBudget, project_to
 from .loss import LossSpec
 from .perturb import Release, RngStream
 
-if os.environ.get("INPUTDP_PURE_PYTHON"):
-    from . import _pgd_fallback as _kernel_module
-else:
-    try:
-        from . import _pgd as _kernel_module  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pgd_fallback as _kernel_module
-
-#: Which projected-gradient kernel was selected at import.
-KERNEL_BACKEND = "python" if _kernel_module.__name__.endswith("_fallback") else "cython"
-
 # Below this Hessian scale the quadratic part is treated as absent and
 # the ball-constrained linear problem is solved in closed form.
 _CURVATURE_FLOOR = 1e-30
 
+# Eigenvalues at or below this multiple of the largest count as zero
+# (roundoff of a rank-deficient A), and so do components of g at or
+# below this multiple of ||g|| on them.
+_ZERO_RTOL = 64 * np.finfo(np.float64).eps
 
-def kernel_backend() -> str:
-    """Name of the active inner-loop implementation: 'cython' or 'python'."""
-    return KERNEL_BACKEND
-
-
-class SolverNonConvergenceError(RuntimeError):
-    """Projected gradient did not reach the residual tolerance."""
-
-    def __init__(self, iterations: int, residual: float, tol: float):
-        super().__init__(
-            f"no convergence after {iterations} iterations: "
-            f"residual {residual:.3e} > tol {tol:.3e}"
-        )
-        self.iterations = iterations
-        self.residual = residual
-        self.tol = tol
+# The secular equation is solved once ||w|| is within this relative
+# distance of the radius, or once rounding stops the iterate moving; the
+# step limit is only a guard.
+_SECULAR_RTOL = 1e-14
+_SECULAR_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -87,7 +72,8 @@ class QuadraticProgram:
     """(1/2) w'Aw + b.w + c + (reg/2)||w||^2 over the ball of ``radius``.
 
     ``A`` must be symmetric positive semidefinite (validated to 1e-8
-    eigenvalue tolerance; tiny asymmetry is symmetrized away).
+    eigenvalue tolerance; tiny asymmetry is symmetrized away).  Its
+    eigendecomposition is kept for the solver.
     """
 
     A: np.ndarray
@@ -95,6 +81,9 @@ class QuadraticProgram:
     c0: float
     reg: float
     radius: float
+    _eigh: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         a = np.array(self.A, dtype=np.float64, copy=True)
@@ -116,21 +105,20 @@ class QuadraticProgram:
         if asym > 1e-8 * (1.0 + scale):
             raise ValueError(f"A is not symmetric (max asymmetry {asym:.3e})")
         a = (a + a.T) / 2.0
-        min_eig = float(np.linalg.eigvalsh(a)[0])
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
+        min_eig = float(eigenvalues[0])
         if min_eig < -1e-8 * (1.0 + scale):
             raise ValueError(f"A is not positive semidefinite (min eigenvalue {min_eig:.3e})")
-        a.flags.writeable = False
-        b.flags.writeable = False
+        for arr in (a, b, eigenvalues, eigenvectors):
+            arr.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b_lin", b)
         object.__setattr__(self, "c0", float(self.c0))
+        object.__setattr__(self, "_eigh", (eigenvalues, eigenvectors))
 
     @property
     def dim(self) -> int:
         return self.b_lin.shape[0]
-
-    def effective_hessian(self) -> np.ndarray:
-        return self.A + self.reg * np.eye(self.dim)
 
     def objective(self, w) -> float:
         wa = w.w if isinstance(w, ModelVector) else np.asarray(w, dtype=np.float64)
@@ -147,118 +135,112 @@ class QuadraticProgram:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-10
-    max_iter: int = 100_000
-    power_iterations: int = 100
-
-    def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.power_iterations < 1:
-            raise ValueError(f"power_iterations must be >= 1, got {self.power_iterations}")
-
-
-@dataclass(frozen=True)
 class SolverResult:
+    """The minimizer, its objective, and the KKT multiplier of the ball
+    constraint (0 inside the ball); ``iterations`` counts Newton steps
+    on the secular equation (0 for an interior solution)."""
+
     w: np.ndarray
     objective: float
     iterations: int
-    converged: bool
-    residual: float
+    multiplier: float
 
 
-def _top_eigenvalue(hess: np.ndarray, iterations: int) -> float:
-    """Power-iteration estimate of the largest eigenvalue (PSD input).
+def _secular_root(
+    h: np.ndarray, g: np.ndarray, radius: float, lo: float, hi: float
+) -> tuple[float, int]:
+    """Root nu in [lo, hi] of phi(nu) = 1/||g / (h + nu)|| - 1/radius.
 
-    The fixed start vector is tilted index-wise so it cannot be exactly
-    orthogonal to the dominant eigenvector of any data-derived matrix.
+    phi is increasing and concave where it is finite, with phi(lo) <= 0
+    <= phi(hi), so Newton steps from lo rise monotonically to the root
+    (Moré & Sorensen's update).  The bracket shrinks with every step, and
+    a step that leaves it (once rounding dominates) is replaced by
+    bisection.  Components with g = 0 are dropped, so h + nu > 0 on
+    every term that is evaluated.
     """
-    d = hess.shape[0]
-    v = 1.0 + np.arange(d) * (1e-3 / max(d, 1))
-    v /= np.linalg.norm(v)
-    for _ in range(iterations):
-        hv = hess @ v
-        nrm = float(np.linalg.norm(hv))
-        if nrm == 0.0:
-            return 0.0
-        v = hv / nrm
-    return float(v @ (hess @ v))
+    keep = g != 0.0
+    h, g = h[keep], g[keep]
+    nu = lo
+    for step in range(1, _SECULAR_STEPS + 1):
+        shifted = h + nu
+        p = g / shifted
+        norm_p = math.sqrt(float(p @ p))
+        if abs(norm_p - radius) <= _SECULAR_RTOL * radius:
+            return nu, step
+        if norm_p > radius:
+            lo = nu
+        else:
+            hi = nu
+        q2 = float(p @ (p / shifted))  # ||(H + nu I)^{-1/2} p||^2
+        nxt = nu + (norm_p - radius) / radius * (norm_p * norm_p / q2)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt == nu:
+            return nu, step
+        nu = nxt
+    return nu, _SECULAR_STEPS
 
 
-def minimize_ball_constrained(
-    program: QuadraticProgram,
-    config: SolverConfig | None = None,
-    start: np.ndarray | None = None,
-) -> SolverResult:
-    """Solve the program by projected gradient descent.
+def minimize_ball_constrained(program: QuadraticProgram) -> SolverResult:
+    """Exact minimizer of the program over its ball (see module docstring).
 
-    The iteration starts at the origin unless ``start`` supplies another
-    point (projected into the feasible ball first); a strongly convex
-    program reaches the same minimizer from any start.  Never raises on
-    a slow instance: if the residual tolerance is not reached within
-    ``max_iter`` steps the best iterate is returned with
-    ``converged=False`` (the learners turn that into an error).
+    The result may exceed the radius in the last bits; the learners
+    project it into the ball.
     """
-    cfg = config or SolverConfig()
-    hess = program.effective_hessian()
-    top = _top_eigenvalue(hess, cfg.power_iterations)
+    eigenvalues, eigenvectors = program._eigh
+    # A is PSD only up to the validation tolerance, so clip at zero.
+    h = np.maximum(eigenvalues, 0.0) + program.reg
+    radius = program.radius
+    b = program.b_lin
+    top = float(h[-1])
     if top < _CURVATURE_FLOOR:
         # Curvature-free: minimize b.w over the ball in closed form.
-        b = program.b_lin
         bnrm = float(np.linalg.norm(b))
-        w = np.zeros(program.dim) if bnrm == 0.0 else -program.radius / bnrm * b
+        w = np.zeros(program.dim) if bnrm == 0.0 else -radius / bnrm * b
+        multiplier = bnrm / radius
         return SolverResult(
-            w=w, objective=program.objective(w), iterations=0, converged=True, residual=0.0
+            w=w, objective=program.objective(w), iterations=0, multiplier=multiplier
         )
-    step = 1.0 / (1.0001 * top)
-    if start is None:
-        w0 = np.zeros(program.dim)
-    else:
-        arr = np.asarray(start, dtype=np.float64)
-        if arr.shape != (program.dim,):
-            raise ValueError(f"start must have shape ({program.dim},), got {arr.shape}")
-        w0 = project_to_ball(arr, program.radius).w.copy()
-    w, iterations, converged, residual = _kernel_module.pgd_ball(
-        np.ascontiguousarray(hess),
-        program.b_lin.copy(),  # kernels want writable contiguous buffers
-        float(program.radius),
-        float(step),
-        float(cfg.tol),
-        int(cfg.max_iter),
-        w0,
-    )
+    g = eigenvectors.T @ b
+    g_norm = float(np.linalg.norm(g))
+    zero = h <= _ZERO_RTOL * top
+    if not np.any(np.abs(g[zero]) > _ZERO_RTOL * g_norm):
+        coef = np.zeros_like(g)
+        np.divide(-g, h, out=coef, where=~zero)
+        w = eigenvectors @ coef
+        if float(np.linalg.norm(w)) <= radius:
+            return SolverResult(
+                w=w, objective=program.objective(w), iterations=0, multiplier=0.0
+            )
+    # Boundary: ||g/(h + nu)|| is at least |g_i|/(h_i + nu) for each i and
+    # at least ||g||/(h_max + nu), and at most ||g||/(h_min + nu).
+    lo = max(0.0, g_norm / radius - top, float(np.max(np.abs(g) / radius - h)))
+    hi = max(lo, g_norm / radius - float(h[0]))
+    nu, iterations = _secular_root(h, g, radius, lo, hi)
+    coef = np.zeros_like(g)
+    np.divide(-g, h + nu, out=coef, where=g != 0.0)
+    w = eigenvectors @ coef
     return SolverResult(
-        w=np.asarray(w),
-        objective=program.objective(w),
-        iterations=int(iterations),
-        converged=bool(converged),
-        residual=float(residual),
+        w=w, objective=program.objective(w), iterations=iterations, multiplier=nu
     )
 
 
-def _solve_or_raise(
-    program: QuadraticProgram, config: SolverConfig | None
-) -> SolverResult:
-    """Learner-facing wrapper: non-convergence becomes an exception."""
-    result = minimize_ball_constrained(program, config)
-    if not result.converged:
-        cfg = config or SolverConfig()
-        raise SolverNonConvergenceError(
-            iterations=result.iterations, residual=result.residual, tol=cfg.tol
-        )
-    return result
-
-
-def assemble_plain(dataset: Dataset, spec: LossSpec, reg_coeff: float = 0.0) -> QuadraticProgram:
-    """Program whose objective equals the mean loss + (reg_coeff/2n)||w||^2."""
+def assemble_plain(
+    dataset: Dataset,
+    spec: LossSpec,
+    reg_coeff: float = 0.0,
+    tilt: np.ndarray | None = None,
+) -> QuadraticProgram:
+    """Program whose objective equals the mean loss + (reg_coeff/2n)||w||^2,
+    plus tilt.w/n when a ``tilt`` vector is given."""
     q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
     n = len(dataset)
+    b_lin = -p_stats.mean(axis=0)
+    if tilt is not None:
+        b_lin = b_lin + tilt / n
     return QuadraticProgram(
         A=q_stats.T @ q_stats / n,
-        b_lin=-p_stats.mean(axis=0),
+        b_lin=b_lin,
         c0=float(s_stats.mean()),
         reg=reg_coeff / n,
         radius=spec.constants.radius,
@@ -291,13 +273,10 @@ def assemble_released(
 
 
 def learn_non_private(
-    dataset: Dataset,
-    spec: LossSpec,
-    reg_coeff: float = 0.0,
-    config: SolverConfig | None = None,
+    dataset: Dataset, spec: LossSpec, reg_coeff: float = 0.0
 ) -> ModelVector:
     """Ball-constrained minimizer of the clean empirical objective."""
-    result = _solve_or_raise(assemble_plain(dataset, spec, reg_coeff), config)
+    result = minimize_ball_constrained(assemble_plain(dataset, spec, reg_coeff))
     return project_to_ball(result.w, spec.constants.radius)
 
 
@@ -306,7 +285,6 @@ def learn_input_perturbed(
     constants: LossConstants,
     budget: PrivacyBudget,
     reg_cap: float | None = None,
-    config: SolverConfig | None = None,
 ) -> ModelVector:
     """Learn from contributor releases alone (the server never sees raw data).
 
@@ -316,7 +294,7 @@ def learn_input_perturbed(
     if reg_cap is None:
         reg_cap = recommend_reg_cap(constants, budget)
     program = assemble_released(released, constants, budget, reg_cap)
-    result = _solve_or_raise(program, config)
+    result = minimize_ball_constrained(program)
     return project_to_ball(result.w, constants.radius)
 
 
@@ -326,7 +304,6 @@ def learn_objective_perturbed(
     budget: PrivacyBudget,
     rng: RngStream,
     reg_cap: float | None = None,
-    config: SolverConfig | None = None,
     *,
     noise_override: np.ndarray | None = None,
 ) -> ModelVector:
@@ -341,7 +318,6 @@ def learn_objective_perturbed(
     if reg_cap is None:
         reg_cap = recommend_reg_cap(constants, budget)
     explicit_ridge(reg_cap, constants.smoothness, budget.epsilon)  # refuses a cap below the floor
-    n = len(dataset)
     if noise_override is not None:
         b = np.asarray(noise_override, dtype=np.float64)
         if b.shape != (dataset.dim,):
@@ -351,11 +327,8 @@ def learn_objective_perturbed(
     else:
         sd = math.sqrt(linear_noise_variance(budget, constants.lipschitz))
         b = rng.generator().standard_normal(dataset.dim) * sd
-    base = assemble_plain(dataset, spec, reg_coeff=reg_cap)
-    program = QuadraticProgram(
-        A=base.A, b_lin=base.b_lin + b / n, c0=base.c0, reg=base.reg, radius=base.radius
-    )
-    result = _solve_or_raise(program, config)
+    program = assemble_plain(dataset, spec, reg_coeff=reg_cap, tilt=b)
+    result = minimize_ball_constrained(program)
     return project_to_ball(result.w, constants.radius)
 
 
@@ -365,7 +338,6 @@ def learn_output_perturbed(
     epsilon: float,
     rng: RngStream,
     reg_strength: float = 1e-3,
-    config: SolverConfig | None = None,
 ) -> ModelVector:
     """Classical baseline: solve a ridge problem, then noise the solution.
 
@@ -381,11 +353,8 @@ def learn_output_perturbed(
         raise ValueError(f"reg_strength must be > 0, got {reg_strength!r}")
     constants = spec.constants
     n = len(dataset)
-    base = assemble_plain(dataset, spec, reg_coeff=0.0)
-    program = QuadraticProgram(
-        A=base.A, b_lin=base.b_lin, c0=base.c0, reg=reg_strength, radius=base.radius
-    )
-    result = _solve_or_raise(program, config)
+    program = assemble_plain(dataset, spec, reg_coeff=reg_strength * n)
+    result = minimize_ball_constrained(program)
     gen = rng.generator()
     direction = gen.standard_normal(dataset.dim)
     nrm = float(np.linalg.norm(direction))

@@ -11,9 +11,6 @@ evidence, not circularity:
 * ``gaussian_delta_closed_form`` — the optimal-threshold privacy deficit
   of the 1-D Gaussian mechanism in closed form.
 * ``quadratic_objective`` — the plain objective both routes share.
-* ``pgd_ball_loop`` — the compiled projected-gradient kernel's loop
-  transcribed into plain Python floats, the reference for the order of
-  its sums.
 """
 
 from __future__ import annotations
@@ -65,53 +62,6 @@ def trust_region_solve(
         else:
             hi = mid
     return vecs @ (-beta / (evals + 0.5 * (lo + hi)))
-
-
-def pgd_ball_loop(
-    hess: np.ndarray,
-    lin: np.ndarray,
-    radius: float,
-    step: float,
-    tol: float,
-    max_iter: int,
-    w0: np.ndarray,
-) -> tuple[np.ndarray, int, bool, float]:
-    """Plain-Python transcription of ``inputdp._pgd.pgd_ball``.
-
-    Python floats and nested loops, statement for statement as in
-    ``_pgd.pyx``: each gradient entry is a sequential sum that starts
-    from lin[i] and adds hess[i, j] * w[j] in order of j, and both norms
-    are square roots of sequential sums of squares.  Returns (w,
-    iterations, converged, residual) like the kernels.
-    """
-    d = len(lin)
-    h = [[float(x) for x in row] for row in hess]
-    g = [float(x) for x in lin]
-    w = [float(x) for x in w0]
-    cand = [0.0] * d
-    residual = math.inf
-    for iteration in range(max_iter + 1):
-        nrm2 = 0.0
-        for i in range(d):
-            acc = g[i]
-            for j in range(d):
-                acc += h[i][j] * w[j]
-            cand[i] = w[i] - step * acc
-            nrm2 += cand[i] * cand[i]
-        if math.sqrt(nrm2) > radius:
-            scale = radius / math.sqrt(nrm2)
-            for i in range(d):
-                cand[i] *= scale
-        res2 = 0.0
-        for i in range(d):
-            diff = cand[i] - w[i]
-            res2 += diff * diff
-        residual = math.sqrt(res2)
-        if residual <= tol:
-            return np.array(w), iteration, True, residual
-        if iteration < max_iter:
-            w = list(cand)
-    return np.array(w), max_iter, False, residual
 
 
 def grid_minimum(

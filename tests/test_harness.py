@@ -86,14 +86,14 @@ class TestGenerateSynthetic:
     def test_noiseless_labels_are_recoverable(self):
         # With zero label noise the hidden model (norm 1/2, strictly
         # inside the unit ball) is the unconstrained least-squares
-        # optimum, so the constrained fit drives train RMSE to solver
-        # tolerance.  The exact value is pinned from this library.
+        # optimum, so the exact solve drives train RMSE to roundoff.  The
+        # exact value is pinned from this library.
         ds = generate_synthetic(10_000, 5, 0.0, RngStream(3, path=(1,)))
         spec = make_loss("linear_regression", 1.0, 5)
         fit = learn_non_private(ds, spec, 0.0)
         rmse = float(np.sqrt(np.mean((ds.features @ fit.w - ds.labels) ** 2)))
-        assert rmse < 1e-3
-        assert rmse == pytest.approx(7.17118833080586e-12, rel=1e-9)
+        assert rmse < 1e-15
+        assert rmse == pytest.approx(9.410138282237764e-17, rel=1e-9)
 
 
 class TestLoadCsv:

@@ -205,13 +205,19 @@ class TestPerturbExample:
 
     def test_moments_match_per_coordinate_scale(self):
         # 1e5 single-contributor draws at n=100, quad variance 2: the
-        # released q deviates with per-coordinate variance 2/100 = 0.02
+        # released q deviates with per-coordinate variance 2/100 = 0.02.
+        # Contributor i's quadratic noise is the first 3 of its 6 normals,
+        # so all 1e5 releases come from one batched draw; a few rows are
+        # checked against perturb_example itself.
         cal = make_calibration(100, 3, 2.0, 1.0)
         form = QuadraticForm(q=np.array([0.1, 0.2, 0.3]), p=np.zeros(3), s=0.0)
         root = RngStream(7, path=(50,))
-        draws = np.empty((100_000, 3))
-        for i in range(100_000):
-            draws[i] = perturb_example(form, cal, root.child(i)).Q[0] - form.q
+        scale = cal.quad_noise_sd / math.sqrt(cal.n)
+        released_q = form.q + root.child_normals(100_000, 6)[:, :3] * scale
+        for i in (0, 1, 4_096, 99_999):
+            single = perturb_example(form, cal, root.child(i))
+            assert np.array_equal(released_q[i], single.Q[0])
+        draws = released_q - form.q
         max_mean = np.abs(draws.mean(axis=0)).max()
         assert max_mean == pytest.approx(0.0011842876241235662, rel=1e-9)
         assert max_mean <= 4.0 * math.sqrt(0.02 / 100_000)

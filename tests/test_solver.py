@@ -1,21 +1,21 @@
 """Ball-constrained solver, program assembly, and the four learners.
 
 Cross-checks use two independent routes from tests/_oracles.py (an exact
-trust-region solver and a tabulated grid minimum); Monte-Carlo statistics
-are frozen from pinned-seed runs together with their tolerances.
+trust-region solver and a tabulated grid minimum), and property tests
+check the KKT conditions directly on random PSD programs; Monte-Carlo
+statistics are frozen from pinned-seed runs together with their
+tolerances.
 """
 
 from __future__ import annotations
 
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import inputdp
 from inputdp import (
     Dataset,
     LossConstants,
@@ -25,13 +25,10 @@ from inputdp import (
     QuadraticProgram,
     Release,
     RngStream,
-    SolverConfig,
-    SolverNonConvergenceError,
     assemble_plain,
     assemble_released,
     calibrate,
     empirical_objective,
-    kernel_backend,
     learn_input_perturbed,
     learn_non_private,
     learn_objective_perturbed,
@@ -46,7 +43,6 @@ from inputdp import (
 )
 from tests._oracles import (
     grid_minimum,
-    pgd_ball_loop,
     quadratic_objective,
     random_ball_instance,
     trust_region_solve,
@@ -63,20 +59,15 @@ def random_dataset(gen, n, dim, radius=1.0):
 
 
 @pytest.fixture(scope="module")
-def oracle_datasets():
-    # Draw order is pinned: the frozen two-start distance and the frozen
-    # output-noise statistics below both consume this one generator.
+def output_dataset():
+    # Draw order is pinned: the frozen output-noise statistics below were
+    # taken after a (40, 3) dataset and its labels were drawn first.
     gen = np.random.default_rng(5)
-    first = gen.standard_normal((40, 3))
-    first /= np.maximum(1.0, np.linalg.norm(first, axis=1))[:, None]
-    first_labels = np.clip(gen.standard_normal(40) * 0.3, -1, 1)
-    second = gen.standard_normal((50, 4))
-    second /= np.maximum(1.0, np.linalg.norm(second, axis=1))[:, None]
-    second_labels = np.clip(gen.standard_normal(50) * 0.3, -1, 1)
-    return (
-        Dataset(features=first, labels=first_labels),
-        Dataset(features=second, labels=second_labels),
-    )
+    gen.standard_normal((40, 3))
+    gen.standard_normal(40)
+    x = gen.standard_normal((50, 4))
+    x /= np.maximum(1.0, np.linalg.norm(x, axis=1))[:, None]
+    return Dataset(features=x, labels=np.clip(gen.standard_normal(50) * 0.3, -1, 1))
 
 
 class TestQuadraticProgram:
@@ -109,30 +100,23 @@ class TestQuadraticProgram:
         assert np.allclose(prog.gradient(w), expected_grad)
         assert prog.objective(ModelVector(w=w, radius=3.0)) == prog.objective(w)
 
-    def test_solver_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverConfig(power_iterations=0)
-
 
 class TestMinimizeBallConstrained:
     def test_one_dimensional_clamp(self):
-        # minimize (1/2) a w^2 - p w over |w| <= radius: clamp(p/a)
-        for radius, expected in ((1.0, 1.0), (10.0, 3.0)):
+        # minimize (1/2) a w^2 - p w over |w| <= radius: clamp(p/a), with
+        # multiplier p - a on the boundary (gradient 2 - 6 = -4 at w = 1)
+        for radius, expected, multiplier in ((1.0, 1.0, 4.0), (10.0, 3.0, 0.0)):
             prog = QuadraticProgram(
                 A=np.array([[2.0]]), b_lin=np.array([-6.0]), c0=0.0, reg=0.0, radius=radius
             )
             res = minimize_ball_constrained(prog)
-            assert res.converged
-            assert res.w[0] == pytest.approx(expected, abs=1e-8)
+            assert res.w[0] == pytest.approx(expected, abs=1e-14)
+            assert res.multiplier == pytest.approx(multiplier, abs=1e-14)
 
     def test_identity_hessian_zero_linear(self):
         prog = QuadraticProgram(A=np.eye(3), b_lin=np.zeros(3), c0=0.0, reg=0.5, radius=1.0)
         res = minimize_ball_constrained(prog)
-        assert res.converged
+        assert res.iterations == 0 and res.multiplier == 0.0
         assert np.array_equal(res.w, np.zeros(3))
 
     def test_curvature_free_closed_form(self):
@@ -140,7 +124,7 @@ class TestMinimizeBallConstrained:
             A=np.zeros((2, 2)), b_lin=np.array([3.0, 4.0]), c0=0.0, reg=0.0, radius=2.0
         )
         res = minimize_ball_constrained(prog)
-        assert res.converged and res.iterations == 0
+        assert res.iterations == 0 and res.multiplier == 2.5
         assert np.allclose(res.w, [-1.2, -1.6], atol=1e-15)
 
         flat = QuadraticProgram(
@@ -153,57 +137,19 @@ class TestMinimizeBallConstrained:
         for index in range(12):
             A, b, reg, radius = random_ball_instance(gen, index)
             prog = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=reg, radius=radius)
-            res = minimize_ball_constrained(prog)
-            assert res.converged
-            w_exact = trust_region_solve(A, b, reg, radius)
-            f_pgd = quadratic_objective(A, b, reg, res.w)
-            f_exact = quadratic_objective(A, b, reg, w_exact)
-            assert abs(f_pgd - f_exact) <= 1e-12 * (1.0 + abs(f_exact))
+            assert_matches_oracle(prog, minimize_ball_constrained(prog))
 
     def test_matches_tabulated_grid_minimum(self):
         gen = np.random.default_rng(12)
         for index in range(6):
             A, b, reg, radius = random_ball_instance(gen, index)
             prog = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=reg, radius=radius)
-            f_pgd = quadratic_objective(
+            f_solved = quadratic_objective(
                 A, b, reg, minimize_ball_constrained(prog).w
             )
             center = trust_region_solve(A, b, reg, radius)
             f_grid = grid_minimum(A, b, reg, radius, center)
-            assert abs(f_pgd - f_grid) <= 1e-9
-
-    def test_non_convergence_returns_best_iterate(self):
-        prog = QuadraticProgram(
-            A=np.diag([1.0, 4.0]), b_lin=np.array([-1.0, -1.0]), c0=0.0, reg=0.0, radius=1.0
-        )
-        res = minimize_ball_constrained(prog, SolverConfig(tol=1e-14, max_iter=3))
-        assert not res.converged
-        assert res.iterations == 3
-        assert res.residual > 1e-14
-        assert np.linalg.norm(res.w) <= 1.0 + 1e-12
-
-    def test_custom_start_reaches_same_minimizer(self):
-        prog = QuadraticProgram(
-            A=np.diag([1.0, 4.0]), b_lin=np.array([-1.0, -1.0]), c0=0.0, reg=0.3, radius=1.0
-        )
-        from_origin = minimize_ball_constrained(prog)
-        far_out = minimize_ball_constrained(prog, start=np.array([100.0, 100.0]))
-        assert np.linalg.norm(from_origin.w - far_out.w) <= 10 * SolverConfig().tol
-        with pytest.raises(ValueError, match="start"):
-            minimize_ball_constrained(prog, start=np.zeros(3))
-
-    def test_two_starts_agree_on_released_program(self, oracle_datasets):
-        dataset, _ = oracle_datasets
-        spec = linear_regression_loss(dim=3, radius=1.0)
-        cal = calibrate(BUDGET, 40, spec.constants)
-        released = perturb_dataset(dataset, spec, cal, RngStream(31, path=(65,)).child(0))
-        reg_cap = recommend_reg_cap(spec.constants, BUDGET)
-        prog = assemble_released(released, spec.constants, BUDGET, reg_cap)
-        first = minimize_ball_constrained(prog)
-        second = minimize_ball_constrained(prog, start=np.array([0.5, -0.5, 0.5]))
-        dist = float(np.linalg.norm(first.w - second.w))
-        assert dist == pytest.approx(1.603820319243174e-10, rel=1e-6)
-        assert dist <= 10 * SolverConfig().tol
+            assert abs(f_solved - f_grid) <= 1e-9
 
     def test_deterministic(self):
         gen = np.random.default_rng(2)
@@ -214,99 +160,126 @@ class TestMinimizeBallConstrained:
         )
 
 
-class TestKernelBackends:
-    def test_backend_name_is_reported(self):
-        assert kernel_backend() in ("cython", "python")
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.integers(1, 8)
 
-    def test_compiled_and_fallback_agree(self):
-        compiled = pytest.importorskip("inputdp._pgd")
-        from inputdp import _pgd_fallback
 
-        gen = np.random.default_rng(3)
-        A, b, reg, radius = random_ball_instance(gen, 5)
-        hess = A + reg * np.eye(len(b))
-        args = (radius, 1.0 / (1.0001 * np.linalg.eigvalsh(hess).max()), 1e-10, 100_000)
-        w_c, it_c, conv_c, res_c = compiled.pgd_ball(
-            np.ascontiguousarray(hess), b.copy(), *args, np.zeros(len(b))
-        )
-        w_p, it_p, conv_p, res_p = _pgd_fallback.pgd_ball(
-            np.ascontiguousarray(hess), b.copy(), *args, np.zeros(len(b))
-        )
-        assert conv_c and conv_p
-        assert np.asarray(w_c).tobytes() == w_p.tobytes()
-        assert it_c == it_p
-        assert res_c == res_p
+def psd_instance(seed: int, dim: int, rank: int):
+    """A = V diag(lam) V' with ``rank`` eigenvalues log-uniform in
+    [0.05, 5] and the rest exactly 0; returns A, the range basis, the
+    null-space basis and the generator for further draws."""
+    gen = np.random.default_rng(seed)
+    basis = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
+    eigenvalues = np.exp(gen.uniform(math.log(0.05), math.log(5.0), size=rank))
+    span, null = basis[:, :rank], basis[:, rank:]
+    A = span @ np.diag(eigenvalues) @ span.T
+    return 0.5 * (A + A.T), span, null, gen
 
-    @pytest.mark.parametrize("placement", ["interior", "boundary"])
-    @pytest.mark.parametrize("dim", [1, 3, 14, 32])
-    def test_fallback_matches_loop_transcription(self, dim, placement):
-        """The NumPy fallback sums in the compiled loop's order, so its
-        output equals the plain-Python transcription bit for bit, both at
-        convergence and after each early step (a run cut short by
-        ``max_iter`` returns that step's iterate and residual)."""
-        from inputdp import _pgd_fallback
 
-        gen = np.random.default_rng(1000 + dim)
-        eigenvalues = gen.uniform(0.2, 2.0, size=dim)
-        basis = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
-        hess = np.ascontiguousarray(basis @ np.diag(eigenvalues) @ basis.T)
-        radius = 1.0
-        # Unconstrained minimizer at norm 0.5 (inside) or 3 (outside the ball).
-        target = gen.standard_normal(dim)
-        target *= (3.0 if placement == "boundary" else 0.5) / float(np.linalg.norm(target))
-        lin = -hess @ target
-        step = 1.0 / (1.0001 * float(eigenvalues.max()))
-        w0 = 0.1 * gen.standard_normal(dim)
+def assert_kkt(program: QuadraticProgram, result, tol: float = 1e-12) -> None:
+    """Stationarity g + mu w = 0, mu >= 0, feasibility and complementary
+    slackness mu (||w|| - r) = 0, each relative to the program's scale."""
+    w, mu, radius = result.w, result.multiplier, program.radius
+    scale = 1.0 + float(np.linalg.norm(program.b_lin)) + radius * (
+        float(np.linalg.norm(program.A, 2)) + program.reg
+    )
+    assert mu >= 0.0
+    assert float(np.linalg.norm(program.gradient(w) + mu * w)) <= tol * scale
+    assert float(np.linalg.norm(w)) <= radius * (1.0 + tol)
+    assert abs(mu * (float(np.linalg.norm(w)) - radius)) <= tol * scale
+    assert result.objective == program.objective(w)
 
-        converged = []
-        for max_iter in [*range(12), 10_000]:
-            args = (hess, lin, radius, step, 1e-10, max_iter, w0)
-            w_f, it_f, conv_f, res_f = _pgd_fallback.pgd_ball(*args)
-            w_o, it_o, conv_o, res_o = pgd_ball_loop(*args)
-            assert w_f.tobytes() == w_o.tobytes()
-            assert (it_f, conv_f, res_f) == (it_o, conv_o, res_o)
-            converged.append(conv_f)
-        assert not converged[0] and converged[-1]
-        if placement == "interior":
-            assert np.linalg.norm(w_f) < 0.5 * radius + 1e-6
+
+def assert_matches_oracle(program: QuadraticProgram, result) -> None:
+    A, b, reg, radius = program.A, program.b_lin, program.reg, program.radius
+    w_oracle = trust_region_solve(A, b, reg, radius)
+    f_oracle = quadratic_objective(A, b, reg, w_oracle)
+    f_solved = quadratic_objective(A, b, reg, result.w)
+    assert abs(f_solved - f_oracle) <= 1e-12 * (1.0 + abs(f_oracle))
+
+
+class TestExactSolveProperties:
+    """The exact solve on random PSD programs: KKT conditions checked
+    directly, and agreement with the independent bisection oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=SEEDS,
+        dim=DIMS,
+        reg=st.sampled_from([0.0, 1e-3, 0.3]),
+        b_scale=st.floats(1e-3, 10.0),
+        radius=st.floats(0.1, 10.0),
+    )
+    def test_full_rank(self, seed, dim, reg, b_scale, radius):
+        A, _, _, gen = psd_instance(seed, dim, dim)
+        b = gen.standard_normal(dim) * b_scale
+        program = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=reg, radius=radius)
+        result = minimize_ball_constrained(program)
+        assert_kkt(program, result)
+        assert_matches_oracle(program, result)
+        inside = float(np.linalg.norm(np.linalg.solve(A + reg * np.eye(dim), b))) < radius
+        assert (result.multiplier == 0.0) == inside
+        assert (result.iterations == 0) == inside
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, dim=st.integers(2, 8), radius=st.floats(0.1, 10.0), data=st.data())
+    def test_rank_deficient_b_in_range(self, seed, dim, radius, data):
+        """b orthogonal to the null space of A, reg = 0: inside the ball
+        the answer is the min-norm stationary point -A^+ b; outside, the
+        boundary point with a positive multiplier."""
+        rank = data.draw(st.integers(1, dim - 1))
+        A, span, null, gen = psd_instance(seed, dim, rank)
+        b = span @ gen.standard_normal(rank)
+        program = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=0.0, radius=radius)
+        result = minimize_ball_constrained(program)
+        assert_kkt(program, result)
+        assert_matches_oracle(program, result)
+        # No component in the null space, whichever case applies.
+        assert float(np.linalg.norm(null.T @ result.w)) <= 1e-12 * (1.0 + radius)
+        min_norm = -np.linalg.pinv(A) @ b
+        if float(np.linalg.norm(min_norm)) < radius * (1.0 - 1e-9):
+            assert result.multiplier == 0.0 and result.iterations == 0
+            assert np.allclose(result.w, min_norm, rtol=0.0, atol=1e-12 * (1.0 + radius))
+        elif float(np.linalg.norm(min_norm)) > radius * (1.0 + 1e-9):
+            assert result.multiplier > 0.0
+            assert float(np.linalg.norm(result.w)) == pytest.approx(radius, rel=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=SEEDS,
+        dim=st.integers(2, 8),
+        radius=st.floats(0.1, 10.0),
+        share=st.floats(0.1, 1.0),
+        data=st.data(),
+    )
+    def test_rank_deficient_b_with_null_component(self, seed, dim, radius, share, data):
+        """A linear term along a flat direction pushes the minimizer onto
+        the sphere, however small the ball-free fit would be (A = 0 is
+        the closed-form case, tested below)."""
+        rank = data.draw(st.integers(1, dim - 1))
+        A, span, null, gen = psd_instance(seed, dim, rank)
+        along_null = null @ gen.standard_normal(dim - rank)
+        along_null *= share / float(np.linalg.norm(along_null))
+        b = span @ gen.standard_normal(rank) + along_null
+        program = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=0.0, radius=radius)
+        result = minimize_ball_constrained(program)
+        assert_kkt(program, result)
+        assert_matches_oracle(program, result)
+        assert result.multiplier > 0.0 and result.iterations >= 1
+        assert float(np.linalg.norm(result.w)) == pytest.approx(radius, rel=1e-13)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=SEEDS, dim=DIMS, radius=st.floats(0.1, 10.0), zero_b=st.booleans())
+    def test_zero_matrix(self, seed, dim, radius, zero_b):
+        b = np.zeros(dim) if zero_b else np.random.default_rng(seed).standard_normal(dim)
+        program = QuadraticProgram(A=np.zeros((dim, dim)), b_lin=b, c0=0.0, reg=0.0, radius=radius)
+        result = minimize_ball_constrained(program)
+        assert_kkt(program, result)
+        assert result.iterations == 0
+        if zero_b:
+            assert np.array_equal(result.w, np.zeros(dim)) and result.multiplier == 0.0
         else:
-            assert np.linalg.norm(w_f) == pytest.approx(radius, abs=1e-12)
-
-    def test_fallback_matches_loop_transcription_on_signed_zeros(self):
-        """A gradient entry whose terms are all -0.0 sums to -0.0, as in
-        the compiled loop, so the next iterate keeps its sign of zero."""
-        from inputdp import _pgd_fallback
-
-        hess = np.array([[1.0, -0.0], [-0.0, 1.0]])
-        args = (hess, np.array([-0.0, -1.0]), 1.0, 0.5, 1e-10, 1, np.array([-0.0, 0.0]))
-        w_f, *rest_f = _pgd_fallback.pgd_ball(*args)
-        w_o, *rest_o = pgd_ball_loop(*args)
-        assert w_f.tobytes() == w_o.tobytes()
-        assert rest_f == rest_o
-
-    def test_pure_python_override(self):
-        code = (
-            "import inputdp, numpy as np\n"
-            "prog = inputdp.QuadraticProgram(A=np.array([[2.0]]), b_lin=np.array([-6.0]),"
-            " c0=0.0, reg=0.0, radius=1.0)\n"
-            "res = inputdp.minimize_ball_constrained(prog)\n"
-            "print(inputdp.kernel_backend(), repr(float(res.w[0])))\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={
-                "INPUTDP_PURE_PYTHON": "1",
-                "PATH": "/usr/bin:/bin",
-                # The child imports the same inputdp as this process.
-                "PYTHONPATH": str(Path(inputdp.__file__).parents[1]),
-            },
-            check=True,
-        )
-        backend, value = out.stdout.split()
-        assert backend == "python"
-        assert float(value) == pytest.approx(1.0, abs=1e-8)
+            assert np.allclose(result.w, -radius * b / np.linalg.norm(b), rtol=0.0, atol=1e-15 * radius)
 
 
 class TestAssembly:
@@ -403,15 +376,6 @@ class TestLearnNonPrivate:
         probes = directions * radii[:, None]
         probe_best = min(empirical_objective(ds, spec, p, 0.0) for p in probes)
         assert best <= probe_best + 1e-9
-
-    def test_non_convergence_raises(self):
-        gen = np.random.default_rng(20)
-        spec = linear_regression_loss(dim=3, radius=1.0)
-        ds = random_dataset(gen, 10, 3)
-        with pytest.raises(SolverNonConvergenceError, match="no convergence") as err:
-            learn_non_private(ds, spec, config=SolverConfig(tol=1e-14, max_iter=3))
-        assert err.value.iterations == 3
-        assert err.value.residual > err.value.tol
 
 
 class TestLearnInputPerturbed:
@@ -518,17 +482,17 @@ class TestLearnObjectivePerturbed:
 
 
 class TestLearnOutputPerturbed:
-    def test_noise_norm_follows_gamma_law(self, oracle_datasets):
+    def test_noise_norm_follows_gamma_law(self, output_dataset):
         # mean ||release - ridge solution|| over 1e4 draws must match the
         # Gamma(dim, 2 zeta / (n reg eps)) mean dim * scale = 0.004 (the
         # regime keeps the ball projection non-binding)
-        _, dataset = oracle_datasets
+        dataset = output_dataset
         spec = linear_regression_loss(dim=4, radius=1.0)
         reg_strength, epsilon = 2.0, 40.0
         ridge = assemble_plain(dataset, spec, reg_coeff=reg_strength * 50)
         w_ridge = minimize_ball_constrained(ridge).w
         assert float(np.linalg.norm(w_ridge)) == pytest.approx(
-            0.01060159557565267, rel=1e-9
+            0.010601595637682763, rel=1e-12
         )
         root = RngStream(33, path=(66,))
         norms = np.empty(10_000)
@@ -540,11 +504,11 @@ class TestLearnOutputPerturbed:
         mean = float(norms.mean())
         target = 4 * 2.0 * spec.constants.lipschitz / (50 * reg_strength * epsilon)
         assert target == 0.004
-        assert mean == pytest.approx(0.003994009003152888, rel=1e-9)
+        assert mean == pytest.approx(0.003994009003152888, rel=1e-12)
         assert abs(mean / target - 1.0) <= 0.05
 
-    def test_vanishing_noise_limit(self, oracle_datasets):
-        _, dataset = oracle_datasets
+    def test_vanishing_noise_limit(self, output_dataset):
+        dataset = output_dataset
         spec = linear_regression_loss(dim=4, radius=1.0)
         ridge = assemble_plain(dataset, spec, reg_coeff=2.0 * 50)
         w_ridge = minimize_ball_constrained(ridge).w
@@ -553,8 +517,8 @@ class TestLearnOutputPerturbed:
         )
         assert float(np.linalg.norm(out.w - w_ridge)) <= 1e-9
 
-    def test_parameter_validation(self, oracle_datasets):
-        _, dataset = oracle_datasets
+    def test_parameter_validation(self, output_dataset):
+        dataset = output_dataset
         spec = linear_regression_loss(dim=4, radius=1.0)
         with pytest.raises(ValueError, match="epsilon"):
             learn_output_perturbed(dataset, spec, 0.0, RngStream(0))
