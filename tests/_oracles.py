@@ -6,6 +6,9 @@ evidence, not circularity:
 
 * ``trust_region_solve`` — exact ball-constrained quadratic minimizer via
   eigendecomposition and bisection on the KKT multiplier.
+* ``exact_ball_loop`` — the same characterization transcribed into
+  plain-Python loops, with its eigendecomposition by Jacobi rotations,
+  so it shares no linear algebra with NumPy.
 * ``grid_minimum`` — a tabulated minimum over explicit candidate points
   (coarse global sweep + fine local grid + sphere projections).
 * ``gaussian_delta_closed_form`` — the optimal-threshold privacy deficit
@@ -62,6 +65,80 @@ def trust_region_solve(
         else:
             hi = mid
     return vecs @ (-beta / (evals + 0.5 * (lo + hi)))
+
+
+def _jacobi_eigh(hess: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues and eigenvector columns of a symmetric matrix by cyclic
+    Jacobi rotations (Golub & Van Loan, Algorithm 8.5.3), in plain
+    Python: sweeps continue until the off-diagonal mass stops shrinking
+    or falls to roundoff of the whole matrix."""
+    d = len(hess)
+    a = [list(map(float, row)) for row in hess]
+    v = [[float(i == j) for j in range(d)] for i in range(d)]
+    total = math.fsum(x * x for row in a for x in row)
+    last_off = math.inf
+    for _ in range(100):
+        off = math.fsum(a[i][j] ** 2 for i in range(d) for j in range(d) if i != j)
+        if off <= (1e-17) ** 2 * total or off >= last_off:
+            break
+        last_off = off
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                if a[p][q] == 0.0:
+                    continue
+                tau = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                root = math.sqrt(1.0 + tau * tau)
+                t = 1.0 / (tau + root) if tau >= 0.0 else -1.0 / (-tau + root)
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                for k in range(d):  # A <- A J
+                    akp, akq = a[k][p], a[k][q]
+                    a[k][p] = c * akp - s * akq
+                    a[k][q] = s * akp + c * akq
+                for k in range(d):  # A <- J' A
+                    apk, aqk = a[p][k], a[q][k]
+                    a[p][k] = c * apk - s * aqk
+                    a[q][k] = s * apk + c * aqk
+                for k in range(d):  # V <- V J
+                    vkp, vkq = v[k][p], v[k][q]
+                    v[k][p] = c * vkp - s * vkq
+                    v[k][q] = s * vkp + c * vkq
+    return [a[i][i] for i in range(d)], v
+
+
+def exact_ball_loop(
+    hess: np.ndarray, lin: np.ndarray, radius: float
+) -> tuple[np.ndarray, float]:
+    """Minimizer and KKT multiplier of (1/2) w'Hw + lin.w over the
+    ``radius`` ball for positive definite H, as a plain-Python loop
+    transcription of the trust-region characterization: Jacobi
+    eigendecomposition, g = V'lin, then either the stationary point
+    (inside the ball, multiplier 0) or bisection to the last bit on
+    ||g / (lam + nu)|| = radius.  No NumPy arithmetic is used."""
+    d = len(lin)
+    lam, v = _jacobi_eigh([[float(hess[i][j]) for j in range(d)] for i in range(d)])
+    g = [math.fsum(v[k][i] * float(lin[k]) for k in range(d)) for i in range(d)]
+
+    def norm_at(nu: float) -> float:
+        return math.sqrt(math.fsum((g[i] / (lam[i] + nu)) ** 2 for i in range(d)))
+
+    nu = 0.0
+    if norm_at(0.0) > radius:
+        lo, hi = 0.0, 1.0
+        while norm_at(hi) > radius:
+            lo, hi = hi, 2.0 * hi
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if norm_at(mid) > radius:
+                lo = mid
+            else:
+                hi = mid
+        nu = hi if abs(norm_at(hi) - radius) <= abs(norm_at(lo) - radius) else lo
+    p = [-g[i] / (lam[i] + nu) for i in range(d)]
+    w = [math.fsum(v[k][i] * p[i] for i in range(d)) for k in range(d)]
+    return np.array(w), nu
 
 
 def grid_minimum(

@@ -42,6 +42,7 @@ from inputdp import (
     save_model,
 )
 from tests._oracles import (
+    exact_ball_loop,
     grid_minimum,
     quadratic_objective,
     random_ball_instance,
@@ -158,6 +159,43 @@ class TestMinimizeBallConstrained:
         assert np.array_equal(
             minimize_ball_constrained(prog).w, minimize_ball_constrained(prog).w
         )
+
+
+class TestKernelBackends:
+    """The exact solve (NumPy's eigh and vectorised Newton steps) is the
+    one kernel; it is checked against a plain-Python loop transcription
+    of the same characterization that shares no linear algebra with it."""
+
+    @pytest.mark.parametrize("placement", ["interior", "boundary"])
+    @pytest.mark.parametrize("dim", [1, 3, 14, 32])
+    def test_fallback_matches_loop_transcription(self, dim, placement):
+        """Up to d = 32, inside the ball and on the sphere, the solve
+        agrees with ``exact_ball_loop`` (Jacobi eigendecomposition,
+        bisection on the multiplier to the last bit) on w and on the
+        multiplier, and lands where the program was built to put it."""
+        gen = np.random.default_rng(1000 + dim)
+        eigenvalues = gen.uniform(0.2, 2.0, size=dim)
+        basis = np.linalg.qr(gen.standard_normal((dim, dim)))[0]
+        hess = np.ascontiguousarray(basis @ np.diag(eigenvalues) @ basis.T)
+        hess = 0.5 * (hess + hess.T)
+        radius = 1.0
+        # Unconstrained minimizer at norm 0.5 (inside) or 3 (outside the ball).
+        target = gen.standard_normal(dim)
+        target *= (3.0 if placement == "boundary" else 0.5) / float(np.linalg.norm(target))
+        lin = -hess @ target
+        program = QuadraticProgram(A=hess, b_lin=lin, c0=0.0, reg=0.0, radius=radius)
+
+        result = minimize_ball_constrained(program)
+        w_loop, nu_loop = exact_ball_loop(hess, lin, radius)
+        assert float(np.max(np.abs(result.w - w_loop))) <= 1e-13
+        assert abs(result.multiplier - nu_loop) <= 1e-12 * (1.0 + nu_loop)
+        if placement == "interior":
+            assert result.iterations == 0 and result.multiplier == 0.0 and nu_loop == 0.0
+            assert float(np.max(np.abs(result.w - target))) <= 1e-13
+        else:
+            assert result.iterations >= 1 and result.multiplier > 0.0
+            assert np.linalg.norm(result.w) == pytest.approx(radius, abs=1e-14)
+            assert np.linalg.norm(w_loop) == pytest.approx(radius, abs=1e-14)
 
 
 SEEDS = st.integers(0, 2**32 - 1)
