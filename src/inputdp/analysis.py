@@ -6,11 +6,15 @@ numerically rather than trust them:
 * the exact algebraic identity tying the perturbed objective to the
   clean one plus noise terms (:func:`reconstruct_objective_identity`);
 * Monte-Carlo coverage of the noise-ridge bracket and of the
-  privacy-enabling event (:func:`noise_ridge_coverage`);
+  privacy-enabling event (:func:`noise_ridge_coverage`), drawn from the
+  ridge's exact law (a shifted, scaled noncentral chi-square) rather
+  than from full noise matrices; :func:`sample_noise_ridge` keeps the
+  full-matrix draw as the reference;
 * frequency checks of the chi-square and Gaussian tail bounds the
   calibration leans on;
 * a from-first-principles 1-D verifier of the Gaussian mechanism's
-  (epsilon, delta) claim over threshold events;
+  (epsilon, delta) claim over threshold events, with the normal CDF
+  taken from ``math.erfc`` (the package needs only NumPy);
 * stability/utility gap checks between the noisy objective's minimizer
   and its noise-free counterpart.
 
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .calibration import (
     NoiseCalibration,
@@ -216,24 +219,24 @@ def _noise_ridge_samples(
     w: np.ndarray,
     trials: int,
     rng: RngStream,
-    chunk: int = 128,
 ) -> np.ndarray:
-    """Vectorized draws of the noise ridge (same law as sample_noise_ridge)."""
-    n, dim = quad_stats.shape
-    scale = quad_noise_sd / math.sqrt(n)
+    """Draws of the noise ridge from its exact law (that of sample_noise_ridge).
+
+    Only z = U w enters the statistic.  For a unit w its n coordinates
+    are iid N(0, s^2) with s^2 = quad_noise_sd^2 / n, and with c = Q w
+    the ridge is R = ||z + c||^2 - ||c||^2, where ||z + c||^2 / s^2 is
+    noncentral chi-square with n degrees of freedom and noncentrality
+    ||c||^2 / s^2.  One noncentral_chisquare call draws all ``trials``
+    values; no noise matrix is formed.
+    """
+    n = quad_stats.shape[0]
+    if quad_noise_sd == 0.0:
+        return np.zeros(trials)
+    var = quad_noise_sd**2 / n
     clean_w = quad_stats @ w
-    gen = rng.generator()
-    out = np.empty(trials)
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        noise = gen.standard_normal((m, n, dim)) * scale
-        noise_w = noise @ w  # (m, n)
-        out[done : done + m] = np.einsum("mn,mn->m", noise_w, noise_w) + 2.0 * (
-            noise_w @ clean_w
-        )
-        done += m
-    return out
+    offset = float(clean_w @ clean_w)
+    draws = rng.generator().noncentral_chisquare(n, offset / var, size=trials)
+    return var * draws - offset
 
 
 def noise_ridge_coverage(
@@ -293,6 +296,16 @@ def tail_check_gaussian(t: float, trials: int, rng: RngStream) -> float:
     return float(np.mean(np.abs(draws) > t))
 
 
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), elementwise on math.erfc.
+
+    erfc keeps the lower tail's relative accuracy where 1 - 0.5 erfc(x /
+    sqrt 2) would cancel.
+    """
+    args = (x * -math.sqrt(0.5)).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, args), np.float64, count=len(args))
+
+
 def dp_verifier_gaussian_1d(
     diameter: float, sigma: float, epsilon: float, grid_size: int = 10_000
 ) -> float:
@@ -315,16 +328,18 @@ def dp_verifier_gaussian_1d(
     amp = math.exp(epsilon)
 
     def upper_tail(x: float) -> np.ndarray:
-        return ndtr((x - taus) / sigma)  # P[x + sigma Z > tau]
+        return _normal_cdf((x - taus) / sigma)  # P[x + sigma Z > tau]
 
     def lower_tail(x: float) -> np.ndarray:
-        return ndtr((taus - x) / sigma)  # P[x + sigma Z < tau]
+        return _normal_cdf((taus - x) / sigma)  # P[x + sigma Z < tau]
 
+    upper_d, upper_0 = upper_tail(diameter), upper_tail(0.0)
+    lower_0, lower_d = lower_tail(0.0), lower_tail(diameter)
     deficits = [
-        upper_tail(diameter) - amp * upper_tail(0.0),
-        upper_tail(0.0) - amp * upper_tail(diameter),
-        lower_tail(0.0) - amp * lower_tail(diameter),
-        lower_tail(diameter) - amp * lower_tail(0.0),
+        upper_d - amp * upper_0,
+        upper_0 - amp * upper_d,
+        lower_0 - amp * lower_d,
+        lower_d - amp * lower_0,
     ]
     return float(max(np.max(d) for d in deficits))
 

@@ -13,6 +13,8 @@ evidence, not circularity:
   (coarse global sweep + fine local grid + sphere projections).
 * ``gaussian_delta_closed_form`` — the optimal-threshold privacy deficit
   of the 1-D Gaussian mechanism in closed form.
+* ``draw_noise_ridge_samples`` — noise-ridge draws from n-vectors of
+  plain normals, for comparison with the library's exact-law sampler.
 * ``quadratic_objective`` — the plain objective both routes share.
 """
 

@@ -2,17 +2,26 @@
 
 The verifier is checked against a closed-form deficit computed in
 tests/_oracles.py from Gaussian CDFs alone; Monte-Carlo frequencies are
-frozen from pinned-seed runs.
+frozen from pinned-seed runs.  The exact-law noise-ridge draws are tied
+to the full-matrix reference by their moments and a two-sample KS test.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import ks_2samp
 
+import inputdp
 from inputdp import (
+    CoverageReport,
     Dataset,
     PrivacyBudget,
     RngStream,
@@ -28,13 +37,15 @@ from inputdp import (
     quad_noise_threshold,
     recommend_reg_cap,
     reconstruct_objective_identity,
+    ridge_floor,
     run_check_suite,
     sample_noise_ridge,
     tail_check_chi_square,
     tail_check_gaussian,
     worst_case_quad_stats,
 )
-from tests._oracles import gaussian_delta_closed_form
+from inputdp.analysis import _noise_ridge_samples, _normal_cdf
+from tests._oracles import draw_noise_ridge_samples, gaussian_delta_closed_form
 
 BUDGET = PrivacyBudget(epsilon=1.0, delta=0.01)
 
@@ -162,6 +173,122 @@ class TestSampleNoiseRidge:
             sample_noise_ridge(np.zeros((3, 2)), 1.0, np.array([1.0, 1.0]), RngStream(0))
 
 
+def _suite_instance(sd_factor: float = 1.0):
+    """run_check_suite's coverage instance: worst-case statistics at n=1000,
+    d=14, with the threshold noise sd (times ``sd_factor``)."""
+    n, dim, fail_prob = 1000, 14, 0.005
+    probe = np.zeros(dim)
+    probe[0] = 1.0
+    stats = worst_case_quad_stats(n, dim, probe, 1.0)
+    sd = sd_factor * quad_noise_threshold(n, fail_prob, dim, 1.0, 1.0)
+    return stats, sd, probe, fail_prob
+
+
+class TestExactLawNoiseRidge:
+    """R = s^2 X - ||c||^2 with X ~ noncentral chi-square(n, ||c||^2 / s^2),
+    s^2 = sd^2 / n and c = Q w.  Its cumulants are k_j = s^(2j) 2^(j-1)
+    (j-1)! (n + j ||c||^2 / s^2) (minus ||c||^2 for j = 1), so the mean is
+    sd^2 and the variance 2 n s^4 + 4 s^2 ||c||^2."""
+
+    @pytest.mark.parametrize("clean_scale, offset", [(1.0, 14.0), (0.0, 0.0)])
+    def test_moments_within_four_standard_errors(self, clean_scale, offset):
+        stats, sd, probe, _ = _suite_instance()
+        stats = clean_scale * stats
+        assert float(np.sum((stats @ probe) ** 2)) == pytest.approx(offset)
+        n = stats.shape[0]
+        trials = 10**6
+        samples = _noise_ridge_samples(stats, sd, probe, trials, RngStream(5, path=(65,)))
+        s2 = sd**2 / n
+        nonc = offset / s2
+        k2 = 2.0 * n * s2**2 + 4.0 * s2 * offset
+        k4 = 48.0 * s2**4 * (n + 4.0 * nonc)
+        mean_se = math.sqrt(k2 / trials)
+        var_se = math.sqrt((k4 + 2.0 * k2**2) / trials)
+        assert abs(float(samples.mean()) - sd**2) <= 4.0 * mean_se
+        assert abs(float(samples.var()) - k2) <= 4.0 * var_se
+
+    def test_same_law_as_full_matrix_draws(self):
+        # Small n and d, with a cross term comparable to the pure-noise
+        # term so a law that drops either one shows.
+        n, d, sd = 12, 3, 0.8
+        w = np.array([0.6, 0.0, 0.8])
+        stats = worst_case_quad_stats(n, d, w, 1.0)
+        fast = _noise_ridge_samples(stats, sd, w, 20_000, RngStream(6, path=(66,)))
+        root = RngStream(6, path=(67,))
+        full = np.array(
+            [sample_noise_ridge(stats, sd, w, root.child(i)) for i in range(4_000)]
+        )
+        oracle = draw_noise_ridge_samples(stats, sd, w, 4_000, np.random.default_rng(68))
+        assert ks_2samp(fast, full).pvalue > 0.01
+        assert ks_2samp(fast, oracle).pvalue > 0.01
+
+    def test_zero_sd_is_exactly_zero(self):
+        stats, _, probe, _ = _suite_instance()
+        samples = _noise_ridge_samples(stats, 0.0, probe, 50, RngStream(0))
+        assert samples.shape == (50,)
+        assert np.all(samples == 0.0)
+
+    def test_reproducible_per_stream(self):
+        stats, sd, probe, _ = _suite_instance()
+        a = _noise_ridge_samples(stats, sd, probe, 1_000, RngStream(4, path=(4,)))
+        b = _noise_ridge_samples(stats, sd, probe, 1_000, RngStream(4, path=(4,)))
+        c = _noise_ridge_samples(stats, sd, probe, 1_000, RngStream(4, path=(5,)))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_floor_check_flags_undernoised_scale(self):
+        """Negative control for the suite's floor check: at 0.8 x the
+        threshold sd the ridge misses the floor about 2% of the time,
+        far above fail_prob = 0.005, and the check must fail.  (At 0.9 x
+        the miss rate is about 3e-4, too small to see at this size.)"""
+        trials = 100_000
+        floor = ridge_floor(1.0, 1.0)
+        frequencies = []
+        for factor in (1.0, 0.8):
+            stats, sd, probe, fail_prob = _suite_instance(factor)
+            samples = _noise_ridge_samples(
+                stats, sd, probe, trials, RngStream(31, path=(64,))
+            )
+            frequencies.append(
+                CoverageReport.from_hits(
+                    hits=int(np.count_nonzero(samples >= floor)),
+                    trials=trials,
+                    target=1.0 - fail_prob,
+                )
+            )
+        calibrated, undernoised = frequencies
+        assert calibrated.frequency == 1.0
+        assert calibrated.passes
+        assert undernoised.frequency == pytest.approx(0.98, abs=1e-12)
+        assert undernoised.frequency < undernoised.target - 3.0 * undernoised.stderr
+        assert not undernoised.passes
+
+
+class TestScipyFree:
+    def test_normal_cdf_matches_scipy(self):
+        x = np.linspace(-40.0, 40.0, 160_001)
+        ours, reference = _normal_cdf(x), ndtr(x)
+        # Relative accuracy where scipy's value is a normal float; below
+        # that (x < -37.5) scipy flushes to 0 and both are subnormal.
+        tiny = np.finfo(np.float64).tiny
+        normal = reference >= tiny
+        assert normal.sum() > 150_000
+        np.testing.assert_allclose(ours[normal], reference[normal], rtol=1e-12, atol=0.0)
+        assert np.all(ours[~normal] < tiny)
+
+    def test_import_does_not_load_scipy(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(inputdp.__file__).parents[1])}
+        code = (
+            "import sys\n"
+            "import inputdp, inputdp.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert result.stdout.strip() == "[]"
+
+
 class TestNoiseRidgeCoverage:
     def test_worst_case_high_confidence(self):
         n, d = 1000, 5
@@ -183,7 +310,7 @@ class TestNoiseRidgeCoverage:
         report = noise_ridge_coverage(
             stats, 2.0, w, 0.5, 2_000, RngStream(23, path=(62,)), 1.0
         )
-        assert report.frequency == pytest.approx(0.986, abs=1e-12)
+        assert report.frequency == pytest.approx(0.9885, abs=1e-12)
         assert report.frequency >= report.target - 3.0 * report.stderr
 
     def test_degenerate_zero_noise(self):
