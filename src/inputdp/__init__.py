@@ -58,7 +58,6 @@ from .perturb import (
     RngStream,
     gaussian_release,
     perturb_dataset,
-    perturb_example,
     read_perturbed_csv,
     write_perturbed_csv,
 )

@@ -9,14 +9,13 @@ The releases of a whole cohort are held in one :class:`Release`: arrays
 Q (n, d), P (n, d) and S (n,), row i being contributor i's statistics.
 
 Randomness is organized as explicit streams: an :class:`RngStream` is a
-(seed, path) pair mapped to an independent numpy generator, so that each
-contributor can own a stream and outputs are reproducible regardless of
-evaluation order.  Within one example's stream the draw order is fixed:
-quadratic noise first, then linear noise.  Contributor i of a dataset
-draws from ``rng.child(i)``; :meth:`RngStream.child_normals` produces
-all n contributors' draws at once, bit for bit equal to building each
-child's generator, by hashing the n seed sequences in NumPy and
-reseeding one reused PCG64 per contributor.
+(seed, path) pair mapped to an independent numpy generator, so outputs
+are reproducible regardless of evaluation order.  A cohort's noise comes
+from :meth:`RngStream.child_normals`: one Philox4x64 counter stream per
+release, in which contributor i owns a fixed run of whole blocks at
+block offset i times (blocks per contributor), turned into normals by
+Box-Muller.  Within a contributor's row the order is fixed: quadratic
+noise first, then linear noise.
 """
 
 from __future__ import annotations
@@ -31,38 +30,15 @@ import numpy as np
 
 from .calibration import NoiseCalibration
 from .core import Dataset, PrivacyBudget
-from .loss import LossSpec, QuadraticForm
+from .loss import LossSpec
 
-# numpy's SeedSequence hash constants (pool of four uint32 words) and the
-# PCG64 multiplier.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_XSHIFT = 16
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# generate_state(4, uint64) hashes eight words cycling over the pool; the
-# hash constant before and after each word's step does not depend on the data.
-_STATE_SLOT = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
-_STATE_HASH = np.array(
-    [(_INIT_B * pow(_MULT_B, i, 1 << 32)) & _MASK32 for i in range(2 * _POOL_SIZE + 1)],
-    dtype=np.uint32,
-)
-# Keys hashed and reseeded per batch, and rows formatted per write: bound
-# the Python ints, floats and strings alive at once.
+# Contributors whose words are drawn and transformed per batch, and rows
+# formatted per write: bound the memory alive at once.
 _CHILD_BATCH = 4096
 _CSV_ROWS = 1024
-
-
-def _word_count(value: int) -> int:
-    """Number of 32-bit words SeedSequence splits a non-negative int into
-    (0 takes one word)."""
-    return max(1, -(-value.bit_length() // 32))
+# Box-Muller scales: a word's top 53 bits times 2^-53 lies in [0, 1).
+_UNIT = 2.0**-53
+_TURN = 2.0 * math.pi * _UNIT
 
 
 @dataclass(frozen=True)
@@ -72,6 +48,9 @@ class RngStream:
     ``child(*ids)`` derives an independent substream by extending the
     integer path (seed-sequence spawn keys under the hood), so a fixed
     (seed, path) always yields the same draws on a given platform.
+    ``generator()`` is a PCG64 generator on the stream's seed sequence;
+    ``child_normals`` is a Philox counter stream keyed by the same seed
+    sequence, addressable by contributor.
     """
 
     seed: int
@@ -92,66 +71,47 @@ class RngStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.PCG64(seq))
 
-    def child_state_words(self, start: int, stop: int) -> np.ndarray:
-        """Seed words of children ``start .. stop-1``, shape (stop-start, 4).
-
-        Row j equals ``SeedSequence(seed, spawn_key=path + (start+j,))
-        .generate_state(4, np.uint64)``, the words PCG64 seeds from.  The
-        child index is the last entropy word, so its seed sequence starts
-        from this stream's pool and folds the index into each pool word
-        with the hash constant reached after the 4 * (prefix words) steps
-        before it; every step is one uint32 array operation over the
-        children.  Child indices must stay below 2^32 (one spawn-key word).
-        """
-        if not 0 <= start <= stop <= 1 << 32:
-            raise ValueError(
-                f"child indices must satisfy 0 <= start <= stop <= 2^32, got {start}..{stop}"
-            )
-        # SeedSequence pads the seed to the pool size before a spawn key.
-        prefix = max(_word_count(self.seed), _POOL_SIZE) + sum(map(_word_count, self.path))
-        start_hash = _INIT_A * pow(_MULT_A, _POOL_SIZE * prefix, 1 << 32)
-        hashes = np.array(
-            [(start_hash * pow(_MULT_A, j, 1 << 32)) & _MASK32 for j in range(_POOL_SIZE + 1)],
-            dtype=np.uint32,
-        )
-        pool = np.random.SeedSequence(self.seed, spawn_key=self.path).pool
-        keys = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)[:, None]
-        # mix(pool[j], hashmix(key)) for each pool word j.
-        mixed = (keys ^ hashes[:-1]) * hashes[1:]
-        mixed ^= mixed >> _XSHIFT
-        pool = pool * np.uint32(_MIX_MULT_L) - mixed * np.uint32(_MIX_MULT_R)
-        pool ^= pool >> _XSHIFT
-        # generate_state: eight hashed words, paired low word first.
-        words = (pool[:, _STATE_SLOT] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
-        words ^= words >> _XSHIFT
-        return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
-
     def child_normals(self, n: int, k: int) -> np.ndarray:
-        """Standard normals of children 0..n-1, shape (n, k).
+        """Standard normals of contributors 0..n-1, shape (n, k).
 
-        Row i equals ``self.child(i).generator().standard_normal(k)`` bit
-        for bit.  Instead of a new SeedSequence, PCG64 and Generator per
-        child, the seed words come from :meth:`child_state_words` and one
-        PCG64 is reseeded by assigning the state its seeding would reach:
-        inc = 2 seq + 1, state = (inc + initstate) * MULT + inc (mod 2^128).
+        All rows come from one Philox4x64 counter stream keyed by this
+        stream's ``SeedSequence(seed, spawn_key=path)``.  Contributor i
+        owns m = 4 ceil(k/4) raw words (whole Philox blocks), so row i is
+        made from the words ``advance(i m / 4).random_raw(m)`` returns,
+        whatever n is.  See :func:`_box_muller` for the transform.  The
+        draws are reproducible on a given platform; NumPy's SIMD log,
+        cos and sin may round differently on another CPU.
         """
-        if not (0 <= n <= 1 << 32 and k >= 0):
-            raise ValueError(f"need 0 <= n <= 2^32 and k >= 0, got n = {n}, k = {k}")
+        if n < 0 or k < 0:
+            raise ValueError(f"need n >= 0 and k >= 0, got n = {n}, k = {k}")
         out = np.empty((n, k))
-        bitgen = np.random.PCG64(0)
-        gen = np.random.Generator(bitgen)
-        state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-        inner = state["state"]
+        words_per_row = 4 * -(-k // 4)
+        bitgen = np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=self.path))
         for start in range(0, n, _CHILD_BATCH):
-            stop = min(start + _CHILD_BATCH, n)
-            words = self.child_state_words(start, stop).tolist()
-            for row, (s_hi, s_lo, q_hi, q_lo) in zip(out[start:stop], words):
-                inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-                inner["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-                inner["inc"] = inc
-                bitgen.state = state
-                gen.standard_normal(out=row)
+            rows = out[start : start + _CHILD_BATCH]
+            words = bitgen.random_raw(len(rows) * words_per_row)
+            _box_muller(words.reshape(len(rows), words_per_row), rows)
         return out
+
+
+def _box_muller(words: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` (rows, k) with normals from raw uint64 ``words`` of
+    shape (rows, m), m at least k rounded up to even.
+
+    Word pair (2j, 2j+1) of a row gives normals 2j and 2j+1 by Box-Muller:
+    u1 = ((w1 >> 11) + 1) 2^-53 in (0, 1], so the log is finite,
+    u2 = (w2 >> 11) 2^-53, and z = sqrt(-2 ln u1) (cos 2 pi u2, sin 2 pi u2).
+    For odd k the last sine is not computed.
+    """
+    k = out.shape[1]
+    pairs = -(-k // 2)
+    radius = ((words[:, 0 : 2 * pairs : 2] >> 11) + 1) * _UNIT
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = (words[:, 1 : 2 * pairs : 2] >> 11) * _TURN
+    out[:, 0::2] = radius * np.cos(angle)
+    out[:, 1::2] = radius[:, : k // 2] * np.sin(angle[:, : k // 2])
 
 
 @dataclass(frozen=True)
@@ -208,35 +168,6 @@ class NoiseRecord:
         return self.linear_noise.sum(axis=0)
 
 
-def perturb_example(
-    form: QuadraticForm,
-    cal: NoiseCalibration,
-    rng: RngStream,
-    *,
-    record_noise: bool = False,
-):
-    """Randomize one contributor's statistics into a 1-row :class:`Release`.
-
-    Draws quadratic noise then linear noise from the given stream, each
-    with per-coordinate sd (calibrated sd) / sqrt(n).  With
-    ``record_noise`` the raw draws are returned alongside the release
-    (testing only; see :class:`NoiseRecord`).
-    """
-    if form.dim != cal.constants.dim:
-        raise ValueError(
-            f"statistic dimension {form.dim} does not match calibration dim "
-            f"{cal.constants.dim}"
-        )
-    gen = rng.generator()
-    root_n = math.sqrt(cal.n)
-    u = gen.standard_normal(form.dim) * (cal.quad_noise_sd / root_n)
-    r = gen.standard_normal(form.dim) * (cal.linear_noise_sd / root_n)
-    released = Release(Q=(form.q + u)[None, :], P=(form.p - r)[None, :], S=np.array([form.s]))
-    if record_noise:
-        return released, u, r
-    return released
-
-
 def perturb_dataset(
     dataset: Dataset,
     spec: LossSpec,
@@ -245,16 +176,23 @@ def perturb_dataset(
     *,
     record_noise: bool = False,
 ):
-    """Encode and randomize a whole dataset, one substream per example.
+    """Encode and randomize a whole dataset, one block of draws per example.
 
-    Example i uses ``rng.child(i)``, so the output is the concatenation
-    of n independent single-contributor releases; permuting examples
-    together with their streams permutes the output identically.  With
-    ``record_noise`` also returns the :class:`NoiseRecord` (testing only).
+    Example i takes row i of ``rng.child_normals(n, 2d)``: quadratic
+    noise from columns [0, d), linear noise from [d, 2d).  Row i depends
+    only on i, so permuting examples together with their rows permutes
+    the output identically.  The calibration must be for this dataset's
+    size and this loss's constants.  With ``record_noise`` also returns
+    the :class:`NoiseRecord` (testing only).
     """
     if len(dataset) != cal.n:
         raise ValueError(
             f"dataset size {len(dataset)} does not match calibration n = {cal.n}"
+        )
+    if cal.constants != spec.constants:
+        raise ValueError(
+            f"calibration constants {cal.constants} do not match the loss's "
+            f"{spec.constants}"
         )
     q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
     n, dim = q_stats.shape

@@ -15,6 +15,8 @@ evidence, not circularity:
   of the 1-D Gaussian mechanism in closed form.
 * ``draw_noise_ridge_samples`` — noise-ridge draws from n-vectors of
   plain normals, for comparison with the library's exact-law sampler.
+* ``box_muller_normals`` — the contributor-stream transform from raw
+  words to normals, written with ``math`` on Python ints and floats.
 * ``quadratic_objective`` — the plain objective both routes share.
 """
 
@@ -247,3 +249,19 @@ def draw_noise_ridge_samples(
         noise = gen.standard_normal(n) * scale
         out[i] = noise @ noise + 2.0 * clean @ noise
     return out
+
+
+def box_muller_normals(words: list[int], k: int) -> list[float]:
+    """The first k normals Box-Muller makes of raw 64-bit ``words``.
+
+    Word pair (2j, 2j+1) gives r (cos t, sin t) with
+    u1 = (floor(w1 / 2^11) + 1) / 2^53, u2 = floor(w2 / 2^11) / 2^53,
+    r = sqrt(-2 ln u1) and t = 2 pi u2; the two normals follow in order.
+    """
+    out: list[float] = []
+    for j in range(0, 2 * ((k + 1) // 2), 2):
+        u1 = ((int(words[j]) >> 11) + 1) / 2.0**53
+        u2 = (int(words[j + 1]) >> 11) / 2.0**53
+        r = math.sqrt(-2.0 * math.log(u1))
+        out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
+    return out[:k]

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 The flagship experiment (d = 14, eps = 1, delta = 0.01, five n values up
-to 2^15, 50 trials) is the slowest fixture: about 12 s with 4 workers on
+to 2^15, 50 trials) is the slowest fixture: about 1.4 s with 4 workers on
 a 2-core host.  One session-scoped run is shared by the acceptance tests
 that read its slope / RMSE rows and by the harness trend-invariant tests.
 """

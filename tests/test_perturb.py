@@ -2,9 +2,10 @@
 
 Monte-Carlo expectations (moment checks, aggregate variance, covariance)
 were computed once under the pinned seeds and frozen here with their
-standard-error tolerances.  The batched child streams are checked
-against NumPy's own SeedSequence, PCG64 and Generator, and the release
-file against the standard library's ``csv.writer``.
+standard-error tolerances.  The contributor stream is checked bit for
+bit against NumPy's own Philox with ``advance``, within a few ulp
+against a plain-``math`` Box-Muller oracle, and statistically against
+N(0, 1); the release file is checked against ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -15,34 +16,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from inputdp import (
     Dataset,
-    Example,
-    LossConstants,
     NoiseCalibration,
     PrivacyBudget,
-    QuadraticForm,
     Release,
     RngStream,
     gaussian_release,
     linear_regression_loss,
     perturb_dataset,
-    perturb_example,
     read_perturbed_csv,
     write_perturbed_csv,
 )
+from inputdp.perturb import _CHILD_BATCH, _box_muller
+from tests._oracles import box_muller_normals
 
 BUDGET = PrivacyBudget(epsilon=1.0, delta=0.01)
 
 
-def make_calibration(n, dim, quad_var, linear_var):
+def make_calibration(n, constants, quad_var, linear_var):
     return NoiseCalibration(
         n=n,
         budget=BUDGET,
-        constants=LossConstants(lipschitz=1.0, smoothness=1.0, radius=1.0, dim=dim),
+        constants=constants,
         fail_prob=0.005,
         delta_linear=0.005,
         tail_ratio=0.1,
@@ -75,71 +72,90 @@ class TestRngStream:
             RngStream(1, path=(0, -2))
 
 
-def numpy_child_generator(seed, path, i):
-    """Child i's generator built from NumPy alone (the oracle)."""
-    seq = np.random.SeedSequence(seed, spawn_key=tuple(path) + (i,))
-    return np.random.Generator(np.random.PCG64(seq))
+def philox_row(seed, path, i, k):
+    """Contributor i's k normals from NumPy's Philox alone: advance to the
+    row's first block, take its m = 4 ceil(k/4) words, and apply
+    Box-Muller with NumPy ufuncs to that row only."""
+    m = 4 * -(-k // 4)
+    bitgen = np.random.Philox(np.random.SeedSequence(seed, spawn_key=path))
+    bitgen.advance(i * m // 4)
+    words = bitgen.random_raw(m)
+    pairs = -(-k // 2)
+    u1 = ((words[0 : 2 * pairs : 2] >> 11) + 1).astype(np.float64) * 2.0**-53
+    u2 = (words[1 : 2 * pairs : 2] >> 11).astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(2.0 * np.pi * u2)
+    z[1::2] = radius * np.sin(2.0 * np.pi * u2)
+    return z[:k]
 
 
-# Seeds below 2^32, at or above 2^32 (two words) and at or above 2^64
-# (three words); path entries up to 2^70 (several words each).
-SEEDS = st.one_of(
-    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**80)
-)
-PATHS = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)), max_size=4)
+class TestPhiloxChildStream:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 28])
+    def test_rows_match_philox_words_bit_for_bit(self, k):
+        n = 3 * _CHILD_BATCH + 5
+        for seed, path in ((0, ()), (2**40 + 7, (2, 1, 2**33))):
+            rows = RngStream(seed, path=path).child_normals(n, k)
+            assert rows.shape == (n, k) and rows.dtype == np.float64
+            for i in (0, 1, _CHILD_BATCH - 1, _CHILD_BATCH, n - 1):
+                assert np.array_equal(rows[i], philox_row(seed, path, i, k)), i
 
+    def test_rows_do_not_depend_on_n(self):
+        stream = RngStream(9, path=(4,))
+        full = stream.child_normals(_CHILD_BATCH + 3, 7)
+        assert np.array_equal(stream.child_normals(5, 7), full[:5])
+        assert stream.child_normals(0, 7).shape == (0, 7)
+        assert stream.child_normals(4, 0).shape == (4, 0)
 
-class TestBatchedChildStreams:
-    @settings(max_examples=150, deadline=None)
-    @given(seed=SEEDS, path=PATHS, start=st.integers(0, 2**32 - 8), count=st.integers(0, 8))
-    def test_state_words_match_seed_sequence(self, seed, path, start, count):
-        words = RngStream(seed, path=tuple(path)).child_state_words(start, start + count)
-        assert words.dtype == np.uint64 and words.shape == (count, 4)
-        for j in range(count):
-            seq = np.random.SeedSequence(seed, spawn_key=tuple(path) + (start + j,))
-            assert np.array_equal(words[j], seq.generate_state(4, np.uint64))
+    def test_matches_math_oracle_within_4_ulp(self):
+        # NumPy's SIMD log/cos/sin may differ from libm by an ulp, so the
+        # oracle is compared in ulps, not for equality.
+        n, k = 2_000, 28
+        stream = RngStream(3, path=(1, 5))
+        rows = stream.child_normals(n, k)
+        words = np.random.Philox(np.random.SeedSequence(3, spawn_key=(1, 5))).random_raw(n * k)
+        expected = [box_muller_normals(row, k) for row in words.reshape(n, k).tolist()]
+        np.testing.assert_array_max_ulp(rows, np.array(expected), maxulp=4)
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=SEEDS, path=PATHS, n=st.integers(0, 12), k=st.integers(0, 9))
-    def test_child_normals_match_numpy_generators(self, seed, path, n, k):
-        rows = RngStream(seed, path=tuple(path)).child_normals(n, k)
-        assert rows.shape == (n, k)
-        for i in range(n):
-            assert np.array_equal(rows[i], numpy_child_generator(seed, path, i).standard_normal(k))
+    def test_moments_within_4_standard_errors(self):
+        draws = RngStream(21, path=(7,)).child_normals(50_000, 6).ravel()
+        size = draws.size
+        assert abs(draws.mean()) <= 4.0 / math.sqrt(size)
+        # Var of the sample variance of N(0, 1) is 2 / (size - 1).
+        assert abs(draws.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (size - 1))
 
-    def test_child_normals_over_1e5_keys(self):
-        # Crosses the batching chunk boundaries many times over.
-        seed, path, n, k = 2**40 + 7, (2, 1, 128, 0), 100_000, 3
-        rows = RngStream(seed, path=path).child_normals(n, k)
-        for i in range(n):
-            assert np.array_equal(rows[i], numpy_child_generator(seed, path, i).standard_normal(k))
+    def test_neighbouring_contributors_uncorrelated(self):
+        rows = RngStream(22, path=(7,)).child_normals(50_000, 6)
+        first, second = rows[:-1].ravel(), rows[1:].ravel()
+        corr = float(np.corrcoef(first, second)[0, 1])
+        assert abs(corr) <= 4.0 / math.sqrt(first.size)
 
-    def test_one_call_equals_child_generators_two_calls(self):
-        stream = RngStream(12345678901234, path=(1, 2**33, 4))
-        rows = stream.child_normals(20, 10)
-        for i in range(20):
-            gen = stream.child(i).generator()
-            assert np.array_equal(rows[i, :5], gen.standard_normal(5))
-            assert np.array_equal(rows[i, 5:], gen.standard_normal(5))
+    def test_ks_against_standard_normal(self):
+        stats = pytest.importorskip("scipy.stats")
+        draws = RngStream(23, path=(7,)).child_normals(20_000, 5).ravel()
+        assert stats.kstest(draws, "norm").pvalue > 0.01
 
-    def test_last_one_word_keys(self):
-        start = 2**32 - 3
-        words = RngStream(5, path=(3,)).child_state_words(start, 2**32)
-        for j in range(3):
-            seq = np.random.SeedSequence(5, spawn_key=(3, start + j))
-            assert np.array_equal(words[j], seq.generate_state(4, np.uint64))
+    def test_extreme_words_give_finite_normals(self):
+        top = np.uint64(2**64 - 1)
+        words = np.array([[0, 0, 0, top], [top, 0, top, top]], dtype=np.uint64)
+        out = np.empty((2, 4))
+        _box_muller(words, out)
+        assert np.isfinite(out).all()
+        # w1 = 0 gives u1 = 2^-53, the largest radius; w1 = 2^64 - 1
+        # gives u1 = 1 and radius 0.
+        largest = math.sqrt(-2.0 * math.log(2.0**-53))
+        assert out[0, 0] == pytest.approx(largest, rel=1e-15)
+        assert np.array_equal(out[1], np.zeros(4))
 
-    def test_keys_of_two_words_rejected(self):
-        # Child indices >= 2^32 take two spawn-key words; the batched hash
-        # covers one, so such ranges are refused before any work.
+    def test_same_stream_same_draws_other_path_other_draws(self):
+        a = RngStream(42, path=(1, 2)).child_normals(6, 5)
+        assert np.array_equal(a, RngStream(42, path=(1, 2)).child_normals(6, 5))
+        assert not np.array_equal(a, RngStream(42, path=(1, 3)).child_normals(6, 5))
+        assert not np.array_equal(a, RngStream(43, path=(1, 2)).child_normals(6, 5))
+
+    def test_negative_sizes_rejected(self):
         stream = RngStream(0)
-        with pytest.raises(ValueError, match="2\\^32"):
-            stream.child_state_words(2**32, 2**32 + 1)
-        with pytest.raises(ValueError, match="2\\^32"):
-            stream.child_normals(2**32 + 1, 0)
-        with pytest.raises(ValueError, match="start <= stop"):
-            stream.child_state_words(5, 4)
-        with pytest.raises(ValueError, match="0 <= n"):
+        with pytest.raises(ValueError, match="n >= 0"):
             stream.child_normals(-1, 2)
         with pytest.raises(ValueError, match="k >= 0"):
             stream.child_normals(2, -1)
@@ -172,80 +188,106 @@ class TestRelease:
             Release(**arrays)
 
 
+def one_row(dim):
+    """A 1-row dataset and its linear-regression spec."""
+    gen = np.random.default_rng(dim)
+    x = gen.normal(size=(1, dim))
+    x /= 2.0 * np.linalg.norm(x)
+    return Dataset(features=x, labels=np.array([0.5])), linear_regression_loss(dim=dim, radius=1.0)
+
+
 class TestPerturbExample:
+    """One contributor: perturb_dataset on 1-row datasets."""
+
     def test_zero_variance_is_identity(self):
-        cal = make_calibration(4, 3, 0.0, 0.0)
-        form = QuadraticForm(q=np.array([0.1, 0.2, 0.3]), p=np.array([0.4, 0.5, 0.6]), s=0.7)
-        out = perturb_example(form, cal, RngStream(0))
+        ds, spec = one_row(3)
+        cal = make_calibration(1, spec.constants, 0.0, 0.0)
+        out = perturb_dataset(ds, spec, cal, RngStream(0))
+        q, p, s = spec.encode_dataset(ds)
         assert len(out) == 1
-        assert np.array_equal(out.Q[0], form.q)
-        assert np.array_equal(out.P[0], form.p)
-        assert out.S[0] == form.s
+        assert np.array_equal(out.Q, q) and np.array_equal(out.P, p) and np.array_equal(out.S, s)
 
     def test_recorded_noise_reconstructs_release(self):
-        cal = make_calibration(9, 2, 2.0, 3.0)
-        form = QuadraticForm(q=np.array([0.1, -0.2]), p=np.array([0.3, 0.4]), s=1.0)
-        out, u, r = perturb_example(form, cal, RngStream(5, path=(8,)), record_noise=True)
-        assert np.array_equal(out.Q[0], form.q + u)
-        assert np.array_equal(out.P[0], form.p - r)
-        assert out.S[0] == form.s
+        ds, spec = one_row(2)
+        cal = make_calibration(1, spec.constants, 2.0, 3.0)
+        out, record = perturb_dataset(ds, spec, cal, RngStream(5, path=(8,)), record_noise=True)
+        q, p, s = spec.encode_dataset(ds)
+        assert np.array_equal(out.Q, q + record.quad_noise)
+        assert np.array_equal(out.P, p - record.linear_noise)
+        assert np.array_equal(out.S, s)
+        assert np.all(record.quad_noise != 0.0) and np.all(record.linear_noise != 0.0)
 
     def test_deterministic_given_stream(self):
-        cal = make_calibration(9, 2, 2.0, 3.0)
-        form = QuadraticForm(q=np.zeros(2), p=np.zeros(2), s=0.0)
-        a = perturb_example(form, cal, RngStream(5, path=(8,)))
-        b = perturb_example(form, cal, RngStream(5, path=(8,)))
+        ds, spec = one_row(2)
+        cal = make_calibration(1, spec.constants, 2.0, 3.0)
+        a = perturb_dataset(ds, spec, cal, RngStream(5, path=(8,)))
+        b = perturb_dataset(ds, spec, cal, RngStream(5, path=(8,)))
+        c = perturb_dataset(ds, spec, cal, RngStream(5, path=(9,)))
         assert np.array_equal(a.Q, b.Q) and np.array_equal(a.P, b.P)
+        assert not np.array_equal(a.Q, c.Q)
 
     def test_dimension_mismatch_rejected(self):
-        cal = make_calibration(9, 3, 1.0, 1.0)
-        form = QuadraticForm(q=np.zeros(2), p=np.zeros(2), s=0.0)
-        with pytest.raises(ValueError, match="dimension"):
-            perturb_example(form, cal, RngStream(0))
+        # A d = 3 dataset must not be released under a d = 5 calibration.
+        ds, spec = one_row(3)
+        cal = make_calibration(1, linear_regression_loss(dim=5, radius=1.0).constants, 1.0, 1.0)
+        with pytest.raises(ValueError, match="calibration constants"):
+            perturb_dataset(ds, spec, cal, RngStream(0))
 
     def test_moments_match_per_coordinate_scale(self):
-        # 1e5 single-contributor draws at n=100, quad variance 2: the
+        # 1e5 contributors at calibration n=100, quad variance 2: the
         # released q deviates with per-coordinate variance 2/100 = 0.02.
-        # Contributor i's quadratic noise is the first 3 of its 6 normals,
-        # so all 1e5 releases come from one batched draw; a few rows are
-        # checked against perturb_example itself.
-        cal = make_calibration(100, 3, 2.0, 1.0)
-        form = QuadraticForm(q=np.array([0.1, 0.2, 0.3]), p=np.zeros(3), s=0.0)
+        # Contributor i's quadratic noise is the first 3 of its 6 normals
+        # times the scale; rows 0..99 are checked against perturb_dataset.
+        spec = linear_regression_loss(dim=3, radius=1.0)
+        cal = make_calibration(100, spec.constants, 2.0, 1.0)
         root = RngStream(7, path=(50,))
         scale = cal.quad_noise_sd / math.sqrt(cal.n)
-        released_q = form.q + root.child_normals(100_000, 6)[:, :3] * scale
-        for i in (0, 1, 4_096, 99_999):
-            single = perturb_example(form, cal, root.child(i))
-            assert np.array_equal(released_q[i], single.Q[0])
-        draws = released_q - form.q
+        draws = root.child_normals(100_000, 6)[:, :3] * scale
+        ds = Dataset(features=np.zeros((100, 3)), labels=np.zeros(100))
+        _, record = perturb_dataset(ds, spec, cal, root, record_noise=True)
+        assert np.array_equal(record.quad_noise, draws[:100])
         max_mean = np.abs(draws.mean(axis=0)).max()
-        assert max_mean == pytest.approx(0.0011842876241235662, rel=1e-9)
+        assert max_mean == pytest.approx(0.00030905061261935277, rel=1e-9)
         assert max_mean <= 4.0 * math.sqrt(0.02 / 100_000)
         variances = draws.var(axis=0, ddof=1)
         assert np.all(np.abs(variances / 0.02 - 1.0) <= 0.05)
 
 
 class TestPerturbDataset:
-    def test_matches_per_example_substreams(self):
+    def test_permuting_rows_permutes_release(self):
+        # Row i's noise sits at block offset i of the stream, so the
+        # release of the permuted dataset, with each example keeping its
+        # own offset's draws, is the permuted release.
         n, d = 6, 2
         spec = linear_regression_loss(dim=d, radius=1.0)
-        cal = make_calibration(n, d, 1.5, 2.5)
+        cal = make_calibration(n, spec.constants, 1.5, 2.5)
         gen = np.random.default_rng(17)
         x = gen.normal(size=(n, d))
         x /= np.linalg.norm(x, axis=1, keepdims=True) * 2.0
-        ds = Dataset(features=x, labels=gen.uniform(-1, 1, size=n))
+        y = gen.uniform(-1, 1, size=n)
         root = RngStream(21, path=(3,))
-        released = perturb_dataset(ds, spec, cal, root)
+        released = perturb_dataset(Dataset(features=x, labels=y), spec, cal, root)
         assert len(released) == n
-        for i in range(n):
-            single = perturb_example(spec.encoder(ds[i]), cal, root.child(i))
-            assert np.array_equal(released.Q[i], single.Q[0])
-            assert np.array_equal(released.P[i], single.P[0])
-            assert released.S[i] == single.S[0]
+        perm = np.array([4, 0, 5, 2, 1, 3])
+        q, p, s = spec.encode_dataset(Dataset(features=x[perm], labels=y[perm]))
+        draws = np.array([philox_row(21, (3,), int(i), 2 * d) for i in perm])
+        root_n = math.sqrt(n)
+        assert np.array_equal(released.Q[perm], q + draws[:, :d] * (cal.quad_noise_sd / root_n))
+        assert np.array_equal(released.P[perm], p - draws[:, d:] * (cal.linear_noise_sd / root_n))
+        assert np.array_equal(released.S[perm], s)
+
+    def test_radius_mismatch_rejected(self):
+        # A radius-4 loss needs far more linear noise than a radius-1
+        # calibration adds, so the release must be refused.
+        spec = linear_regression_loss(dim=2, radius=4.0)
+        cal = make_calibration(5, linear_regression_loss(dim=2, radius=1.0).constants, 1.0, 1.0)
+        ds = Dataset(features=np.zeros((5, 2)), labels=np.zeros(5))
+        with pytest.raises(ValueError, match="calibration constants"):
+            perturb_dataset(ds, spec, cal, RngStream(0))
 
     def test_size_mismatch_rejected(self):
         spec = linear_regression_loss(dim=2, radius=1.0)
-        cal = make_calibration(5, 2, 1.0, 1.0)
+        cal = make_calibration(5, spec.constants, 1.0, 1.0)
         ds = Dataset(features=np.zeros((4, 2)), labels=np.zeros(4))
         with pytest.raises(ValueError, match="does not match calibration n"):
             perturb_dataset(ds, spec, cal, RngStream(0))
@@ -278,10 +320,10 @@ class TestPerturbDataset:
             first[rep] = record.quad_noise[0, 0]
             second[rep] = record.quad_noise[1, 0]
         variances = totals.var(axis=0, ddof=1)
-        assert variances == pytest.approx([2.92197234, 3.01970825], rel=1e-7)
+        assert variances == pytest.approx([2.97024867, 3.02911494], rel=1e-7)
         assert np.all(np.abs(variances / 3.0 - 1.0) <= 0.05)
         cov = float(np.cov(first, second, ddof=1)[0, 1])
-        assert cov == pytest.approx(0.0012191992393091313, rel=1e-9)
+        assert cov == pytest.approx(0.001257090956671885, rel=1e-9)
         assert abs(cov) <= 4.0 * (cal.quad_noise_var / n) / math.sqrt(reps)
 
 
