@@ -16,7 +16,6 @@ from .calibration import (
     LocalPrivacyLevel,
     NoiseCalibration,
     NoiseRidgeBounds,
-    ThresholdEnvelope,
     calibrate,
     explicit_ridge,
     linear_noise_variance,
@@ -24,7 +23,6 @@ from .calibration import (
     local_dp_level,
     min_feasible_n,
     noise_ridge_bounds,
-    quad_noise_envelope,
     quad_noise_threshold,
     recommend_reg_cap,
     ridge_floor,
@@ -42,13 +40,9 @@ from .core import (
 )
 from .loss import (
     LossSpec,
-    QuadraticForm,
     empirical_objective,
-    encode_linear_regression,
-    encode_logistic_quadratic,
     linear_regression_loss,
     logistic_quadratic_loss,
-    loss_value,
     make_loss,
     predict,
 )

@@ -40,15 +40,10 @@ from .calibration import (
     quad_noise_threshold,
     ridge_floor,
 )
-from .core import Dataset, LossConstants, ModelVector, PrivacyBudget
+from .core import Dataset, LossConstants, PrivacyBudget, model_array
 from .loss import LossSpec, empirical_objective
 from .perturb import NoiseRecord, RngStream, perturb_dataset
-from .solver import (
-    QuadraticProgram,
-    assemble_plain,
-    learn_non_private,
-    minimize_ball_constrained,
-)
+from .solver import assemble_plain, learn_non_private, minimize_ball_constrained
 
 __all__ = [
     "CoverageReport",
@@ -99,12 +94,6 @@ class CoverageReport:
         return self.frequency >= self.target - 3.0 * self.stderr
 
 
-def _model_array(w) -> np.ndarray:
-    if isinstance(w, ModelVector):
-        return w.w
-    return np.asarray(w, dtype=np.float64)
-
-
 def clamp_excess_risk(value: float) -> float:
     """An excess risk with roundoff below zero (down to -1e-10) set to 0."""
     if -_EXCESS_CLAMP <= value < 0.0:
@@ -143,7 +132,7 @@ def reconstruct_objective_identity(
     an algebraic identity, so the difference is pure floating-point
     roundoff — a strong end-to-end check of the noise bookkeeping.
     """
-    wa = _model_array(w)
+    wa = model_array(w)
     q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
     n = len(dataset)
     ridge = reg_cap - ridge_floor(spec.constants.smoothness, epsilon)
@@ -372,20 +361,8 @@ def noise_free_gap(
     ridge = explicit_ridge(reg_cap, constants.smoothness, epsilon)
     q_released = q_stats + record.quad_noise
     b = record.linear_total
-
-    a_noisy = q_released.T @ q_released / n
-    base_lin = -p_stats.mean(axis=0)
-    c0 = float(s_stats.mean())
-    noisy = QuadraticProgram(
-        A=a_noisy,
-        b_lin=base_lin + record.linear_total / n,
-        c0=c0,
-        reg=ridge / n,
-        radius=constants.radius,
-    )
-    noise_free = QuadraticProgram(
-        A=a_noisy, b_lin=base_lin, c0=c0, reg=ridge / n, radius=constants.radius
-    )
+    noisy = assemble_plain(q_released, p_stats, s_stats, constants.radius, ridge, tilt=b)
+    noise_free = assemble_plain(q_released, p_stats, s_stats, constants.radius, ridge)
     w_noisy = minimize_ball_constrained(noisy).w
     w_free = minimize_ball_constrained(noise_free).w
 

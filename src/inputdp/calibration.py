@@ -153,40 +153,6 @@ def quad_noise_threshold(
     return (half_cross + math.sqrt(half_cross**2 + floor * denom)) / denom
 
 
-class ThresholdEnvelope(NamedTuple):
-    """Closed-form envelope around the quad-noise threshold.
-
-    ``upper`` is None when n < 16 log(4/fail_prob), below which the
-    simplified upper edge is not valid.
-    """
-
-    lower: float
-    upper: float | None
-
-
-def quad_noise_envelope(
-    n: int, fail_prob: float, dim: int, smoothness: float, epsilon: float
-) -> ThresholdEnvelope:
-    """Simple closed-form bounds sandwiching :func:`quad_noise_threshold`.
-
-    Both edges decay to sqrt(ridge_floor) as n grows, making the
-    large-n behaviour of the threshold explicit.
-    """
-    _check_fail_prob(fail_prob)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-    t_cross, t_chi = _tail_terms(n, fail_prob)
-    floor_sd = math.sqrt(ridge_floor(smoothness, epsilon))
-    root_2d = math.sqrt(2.0 * dim)
-    lower = root_2d * smoothness * t_cross + floor_sd
-    upper: float | None
-    if n >= 16.0 * math.log(4.0 / fail_prob):
-        upper = (4.0 * root_2d * smoothness + 4.0 * floor_sd) * t_chi + floor_sd
-    else:
-        upper = None
-    return ThresholdEnvelope(lower=lower, upper=upper)
-
-
 @dataclass(frozen=True)
 class NoiseCalibration:
     """Everything a contributor needs to randomize their statistics.
@@ -291,9 +257,11 @@ class LocalPrivacyLevel:
     uses the loss family's certified statistic norm caps (diameters
     2 * bound_q, 2 * bound_p) and is None when those caps are not
     supplied.  ``noise_constant`` is the Gaussian-mechanism constant
-    sqrt(2 ln(1.25/delta)); it is an infimum — any strictly larger
-    constant certifies the level, so the reported epsilons are open
-    lower edges rather than attained values.
+    sqrt(2 ln(1.25/delta)).  That constant certifies (epsilon, delta)
+    only for epsilon < 1 (Dwork & Roth 2014, Thm A.1), and the levels
+    reported here are far above 1 (about 187 at n = 2000, d = 14,
+    epsilon = 1, delta = 0.01), so they are the paper's convention, not
+    certified local guarantees.
     """
 
     epsilon_constants_convention: float

@@ -8,7 +8,8 @@ and solver layers can rely on them instead of re-validating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,12 +155,24 @@ class PrivacyBudget:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
 
 
+def _norm_any_order(w: np.ndarray) -> float:
+    """Largest of ||w|| as np.linalg.norm, a left-to-right sum of squares
+    and math.fsum compute it; a reader may check the radius in any of them."""
+    squares = w * w
+    return max(
+        float(np.linalg.norm(w)),
+        math.sqrt(float(np.cumsum(squares)[-1])),
+        math.sqrt(math.fsum(squares)),
+    )
+
+
 @dataclass(frozen=True)
 class ModelVector:
     """A model constrained to the ball of the given radius.
 
     Construction projects onto the ball, so the norm invariant holds by
-    definition; use :func:`project_to_ball` as the public constructor.
+    definition, whichever summation order computes the norm; use
+    :func:`project_to_ball` as the public constructor.
     """
 
     w: np.ndarray
@@ -169,17 +182,16 @@ class ModelVector:
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         w = _as_float_vector(self.w, "w")
-        # Rescale to a floating-point fixed point so that projecting an
-        # already-projected vector returns it bit-identically (a single
-        # rescale can leave the recomputed norm one ulp above the radius).
+        # A single rescale can leave the recomputed norm a few ulps above
+        # the radius, so rescale until every summation order reads at most
+        # the radius.  A step that rounds back to w moves every coordinate
+        # one ulp towards zero instead, so the loop ends.  Projecting an
+        # already-projected vector returns it bit-identically.
         nrm = float(np.linalg.norm(w))
-        while nrm > self.radius:
-            factor = self.radius / nrm
-            if factor >= 1.0:
-                break
-            scaled = np.array(w * factor)
+        while _norm_any_order(w) > self.radius:
+            scaled = np.array(w * min(self.radius / nrm, 1.0))
             if np.array_equal(scaled, w):
-                break
+                scaled = np.nextafter(w, 0.0)
             scaled.flags.writeable = False
             w = scaled
             nrm = float(np.linalg.norm(w))
@@ -189,6 +201,13 @@ class ModelVector:
     @property
     def dim(self) -> int:
         return self.w.shape[0]
+
+
+def model_array(w) -> np.ndarray:
+    """The weights of a :class:`ModelVector`, or ``w`` as a float64 array."""
+    if isinstance(w, ModelVector):
+        return w.w
+    return np.asarray(w, dtype=np.float64)
 
 
 def project_to_ball(w, radius: float) -> ModelVector:

@@ -14,8 +14,9 @@ Two loss families are provided:
 * squared error for regression: q = x, p = y x, s = y^2 / 2, so that
   l(w) = (1/2)(w.x - y)^2;
 * a quadratic surrogate for logistic classification: the second-order
-  Maclaurin expansion of z -> log(1 + e^-z) at z = y w.x gives q = x/2,
-  p = (y/2) x, s = log 2.
+  Maclaurin expansion of z -> log(1 + e^-z) at z = y w.x (labels in
+  {-1, +1}) gives q = x/2, p = (y/2) x, s = log 2; the cubic remainder
+  is below |w.x|^3 / 24 on the domain.
 
 Both declare their curvature/gradient constants and per-statistic norm
 bounds, which drive noise calibration and the local-privacy accounting.
@@ -29,38 +30,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, Example, LossConstants, ModelVector
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Sufficient statistics (q, p, s) of one example's quadratic loss."""
-
-    q: np.ndarray
-    p: np.ndarray
-    s: float
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=np.float64)
-        p = np.asarray(self.p, dtype=np.float64)
-        if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape:
-            raise ValueError(
-                f"q and p must be 1-D vectors of equal length, got {q.shape} and {p.shape}"
-            )
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p)) and math.isfinite(self.s)):
-            raise ValueError("quadratic-form statistics must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", float(self.s))
-
-    @property
-    def dim(self) -> int:
-        return self.q.shape[0]
+from .core import Dataset, LossConstants, model_array
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A loss family: per-example encoder plus its declared constants.
+    """A loss family: its encoder plus its declared constants.
 
     ``bound_q`` / ``bound_p`` are certified norm caps on the statistics of
     any domain-valid example; they give the statistic-space diameters used
@@ -72,31 +47,11 @@ class LossSpec:
     constants: LossConstants
     bound_q: float
     bound_p: float
-    encoder: Callable[[Example], QuadraticForm]
     encode_arrays: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def encode_dataset(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Encode every example; returns (Q, P, S) with shapes (n, d), (n, d), (n,)."""
         return self.encode_arrays(dataset.features, dataset.labels)
-
-
-def encode_linear_regression(example: Example) -> QuadraticForm:
-    """Statistics of the squared error (1/2)(w.x - y)^2."""
-    return QuadraticForm(q=example.x, p=example.y * example.x, s=example.y**2 / 2.0)
-
-
-def encode_logistic_quadratic(example: Example) -> QuadraticForm:
-    """Statistics of the quadratic surrogate of the logistic loss.
-
-    Expanding log(1 + e^-z) to second order at z = y w.x (labels in
-    {-1, +1}) yields log 2 - z/2 + z^2/8, i.e. q = x/2, p = (y/2) x,
-    s = log 2.  The cubic remainder is below |w.x|^3 / 24 on the domain.
-    """
-    if example.y not in (-1.0, 1.0):
-        raise ValueError(
-            f"logistic labels must be -1 or +1, got {example.y!r}"
-        )
-    return QuadraticForm(q=example.x / 2.0, p=(example.y / 2.0) * example.x, s=math.log(2.0))
 
 
 def _encode_linear_arrays(
@@ -131,7 +86,6 @@ def linear_regression_loss(radius: float, dim: int) -> LossSpec:
         ),
         bound_q=1.0,
         bound_p=1.0,
-        encoder=encode_linear_regression,
         encode_arrays=_encode_linear_arrays,
     )
 
@@ -149,7 +103,6 @@ def logistic_quadratic_loss(radius: float, dim: int) -> LossSpec:
         ),
         bound_q=0.5,
         bound_p=0.5,
-        encoder=encode_logistic_quadratic,
         encode_arrays=_encode_logistic_arrays,
     )
 
@@ -170,19 +123,6 @@ def make_loss(name: str, radius: float, dim: int) -> LossSpec:
     return factory(radius, dim)
 
 
-def _model_array(w) -> np.ndarray:
-    if isinstance(w, ModelVector):
-        return w.w
-    return np.asarray(w, dtype=np.float64)
-
-
-def loss_value(form: QuadraticForm, w) -> float:
-    """Evaluate (1/2)(q.w)^2 - p.w + s at the given model."""
-    wa = _model_array(w)
-    qw = float(form.q @ wa)
-    return 0.5 * qw * qw - float(form.p @ wa) + form.s
-
-
 def empirical_objective(dataset: Dataset, spec: LossSpec, w, reg_coeff: float = 0.0) -> float:
     """Mean loss over the dataset plus ridge (reg_coeff / (2n)) ||w||^2.
 
@@ -191,7 +131,7 @@ def empirical_objective(dataset: Dataset, spec: LossSpec, w, reg_coeff: float = 
     """
     if reg_coeff < 0:
         raise ValueError(f"reg_coeff must be >= 0, got {reg_coeff!r}")
-    wa = _model_array(w)
+    wa = model_array(w)
     q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
     qw = q_stats @ wa
     n = len(dataset)
@@ -202,7 +142,7 @@ def empirical_objective(dataset: Dataset, spec: LossSpec, w, reg_coeff: float = 
 def predict(spec: LossSpec, features: np.ndarray, w) -> np.ndarray:
     """Point predictions: the linear response for regression, its sign
     (ties to +1) for classification."""
-    response = np.asarray(features, dtype=np.float64) @ _model_array(w)
+    response = np.asarray(features, dtype=np.float64) @ model_array(w)
     if spec.name == "linear_regression":
         return response
     return np.where(response >= 0.0, 1.0, -1.0)

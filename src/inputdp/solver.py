@@ -47,7 +47,7 @@ from .calibration import (
     linear_noise_variance,
     recommend_reg_cap,
 )
-from .core import Dataset, LossConstants, ModelVector, PrivacyBudget, project_to_ball
+from .core import Dataset, LossConstants, ModelVector, PrivacyBudget, model_array, project_to_ball
 from .loss import LossSpec
 from .perturb import Release, RngStream
 
@@ -121,7 +121,7 @@ class QuadraticProgram:
         return self.b_lin.shape[0]
 
     def objective(self, w) -> float:
-        wa = w.w if isinstance(w, ModelVector) else np.asarray(w, dtype=np.float64)
+        wa = model_array(w)
         return float(
             0.5 * wa @ (self.A @ wa)
             + self.b_lin @ wa
@@ -130,7 +130,7 @@ class QuadraticProgram:
         )
 
     def gradient(self, w) -> np.ndarray:
-        wa = w.w if isinstance(w, ModelVector) else np.asarray(w, dtype=np.float64)
+        wa = model_array(w)
         return self.A @ wa + self.b_lin + self.reg * wa
 
 
@@ -204,7 +204,11 @@ def minimize_ball_constrained(program: QuadraticProgram) -> SolverResult:
     g = eigenvectors.T @ b
     g_norm = float(np.linalg.norm(g))
     zero = h <= _ZERO_RTOL * top
-    if not np.any(np.abs(g[zero]) > _ZERO_RTOL * g_norm):
+    # Roundoff-level components of g on zero eigenvalues are zero: the
+    # interior point ignores them, and the boundary solve would scale them
+    # by 1/nu into the null space of A.
+    g[zero & (np.abs(g) <= _ZERO_RTOL * g_norm)] = 0.0
+    if not np.any(g[zero]):
         coef = np.zeros_like(g)
         np.divide(-g, h, out=coef, where=~zero)
         w = eigenvectors @ coef
@@ -226,15 +230,18 @@ def minimize_ball_constrained(program: QuadraticProgram) -> SolverResult:
 
 
 def assemble_plain(
-    dataset: Dataset,
-    spec: LossSpec,
+    q_stats: np.ndarray,
+    p_stats: np.ndarray,
+    s_stats: np.ndarray,
+    radius: float,
     reg_coeff: float = 0.0,
     tilt: np.ndarray | None = None,
 ) -> QuadraticProgram:
-    """Program whose objective equals the mean loss + (reg_coeff/2n)||w||^2,
-    plus tilt.w/n when a ``tilt`` vector is given."""
-    q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
-    n = len(dataset)
+    """Program over stacked statistics (Q, P, S) of n rows: the mean of
+    (1/2)(q.w)^2 - p.w + s, plus (reg_coeff/2n)||w||^2, plus tilt.w/n when
+    a ``tilt`` vector is given.  Every server-side program is built here,
+    from clean statistics and from released ones alike."""
+    n = q_stats.shape[0]
     b_lin = -p_stats.mean(axis=0)
     if tilt is not None:
         b_lin = b_lin + tilt / n
@@ -243,7 +250,7 @@ def assemble_plain(
         b_lin=b_lin,
         c0=float(s_stats.mean()),
         reg=reg_coeff / n,
-        radius=spec.constants.radius,
+        radius=radius,
     )
 
 
@@ -262,21 +269,15 @@ def assemble_released(
     if len(released) == 0:
         raise ValueError("no released statistics to aggregate")
     ridge = explicit_ridge(reg_cap, constants.smoothness, budget.epsilon)
-    n = len(released)
-    return QuadraticProgram(
-        A=released.Q.T @ released.Q / n,
-        b_lin=-released.P.mean(axis=0),
-        c0=float(released.S.mean()),
-        reg=ridge / n,
-        radius=constants.radius,
-    )
+    return assemble_plain(released.Q, released.P, released.S, constants.radius, ridge)
 
 
 def learn_non_private(
     dataset: Dataset, spec: LossSpec, reg_coeff: float = 0.0
 ) -> ModelVector:
     """Ball-constrained minimizer of the clean empirical objective."""
-    result = minimize_ball_constrained(assemble_plain(dataset, spec, reg_coeff))
+    program = assemble_plain(*spec.encode_dataset(dataset), spec.constants.radius, reg_coeff)
+    result = minimize_ball_constrained(program)
     return project_to_ball(result.w, spec.constants.radius)
 
 
@@ -327,7 +328,7 @@ def learn_objective_perturbed(
     else:
         sd = math.sqrt(linear_noise_variance(budget, constants.lipschitz))
         b = rng.generator().standard_normal(dataset.dim) * sd
-    program = assemble_plain(dataset, spec, reg_coeff=reg_cap, tilt=b)
+    program = assemble_plain(*spec.encode_dataset(dataset), constants.radius, reg_cap, tilt=b)
     result = minimize_ball_constrained(program)
     return project_to_ball(result.w, constants.radius)
 
@@ -353,7 +354,7 @@ def learn_output_perturbed(
         raise ValueError(f"reg_strength must be > 0, got {reg_strength!r}")
     constants = spec.constants
     n = len(dataset)
-    program = assemble_plain(dataset, spec, reg_coeff=reg_strength * n)
+    program = assemble_plain(*spec.encode_dataset(dataset), constants.radius, reg_strength * n)
     result = minimize_ball_constrained(program)
     gen = rng.generator()
     direction = gen.standard_normal(dataset.dim)

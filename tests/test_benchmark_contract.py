@@ -1,0 +1,54 @@
+"""The benchmark's contract with the library, checked on one traced job.
+
+``perfbench/run.py --trace 1`` measures its per-layer metrics at named
+library functions, and a metric whose function has gone is dropped from
+the result.  So a change that renames or removes one of those functions,
+or that makes a metric non-finite, breaks the benchmark's result line
+without failing a job.  This test runs one traced job of every workload
+and checks what the runner would report.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import inputdp
+import inputdp.cli  # noqa: F401  (workloads call inputdp.cli.main)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import layers  # noqa: E402
+from tracer import Tracer  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+PER_LAYER = [
+    m["name"]
+    for m in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_job_reports_every_per_layer_metric(name, tmp_path):
+    workload = WORKLOADS[name](inputdp, 0, str(tmp_path))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        workload.job()
+        wall = time.perf_counter() - start
+    finally:
+        tracer.remove()
+    assert workload.check(workload.output(), first=True) == []
+    assert layers.absent(tracer.wrapped) == []
+    spans = layers.JobSpans(tracer.spans, 0, wall, workload)
+    metrics = layers.job_metrics(spans, tracer.wrapped)
+    assert {k: v for k, v in metrics.items() if not math.isfinite(v)} == {}
+    # trace.overhead compares traced with untraced jobs; the runner adds it.
+    assert set(PER_LAYER) - set(metrics) == {layers.OVERHEAD[0]}

@@ -1,4 +1,4 @@
-"""Noise calibration: thresholds, brackets, envelopes, budgets.
+"""Noise calibration: thresholds, brackets, budgets.
 
 Expected values are frozen from independent evaluation of the closed
 forms (transcribed separately from the implementation and compared
@@ -24,7 +24,6 @@ from inputdp import (
     local_dp_level,
     min_feasible_n,
     noise_ridge_bounds,
-    quad_noise_envelope,
     quad_noise_threshold,
     recommend_reg_cap,
     ridge_floor,
@@ -68,19 +67,13 @@ class TestThreshold:
         thr = quad_noise_threshold(10**14, 0.005, 14, 1.0, 1.0)
         assert thr == pytest.approx(math.sqrt(2.0), rel=1e-5)
 
-    def test_frozen_value_at_1e6_and_envelope_containment(self):
+    def test_frozen_value_at_1e6(self):
         thr = quad_noise_threshold(10**6, 0.005, 14, 1.0, 1.0)
         assert thr == pytest.approx(1.4309635551158701, rel=1e-15)
-        env = quad_noise_envelope(10**6, 0.005, 14, 1.0, 1.0)
-        assert env.lower == pytest.approx(1.427165821145951, rel=1e-15)
-        assert env.upper == pytest.approx(1.4835630493761542, rel=1e-15)
-        assert env.lower <= thr <= env.upper
 
     def test_frozen_value_small_epsilon(self):
         thr = quad_noise_threshold(4096, 0.005, 14, 1.0, 0.1)
         assert thr == pytest.approx(4.889902307182175, rel=1e-15)
-        env = quad_noise_envelope(4096, 0.005, 14, 1.0, 0.1)
-        assert env.lower <= thr <= env.upper
 
     def test_infeasible_n_names_the_minimum(self):
         assert min_feasible_n(0.005) == 27
@@ -98,29 +91,6 @@ class TestThreshold:
                     bracket = noise_ridge_bounds(n, 0.005, thr, 1.0, d)
                     floor = 2.0 / eps
                     assert bracket.lower == pytest.approx(floor, abs=1e-9 * floor)
-
-    def test_envelope_property_on_grid(self):
-        edge = 16.0 * math.log(4.0 / 0.005)
-        for n in (110, 200, 1000, 10**4, 10**6):
-            assert n >= edge
-            thr = quad_noise_threshold(n, 0.005, 14, 1.0, 1.0)
-            env = quad_noise_envelope(n, 0.005, 14, 1.0, 1.0)
-            assert env.lower <= thr <= env.upper
-
-    def test_envelope_at_the_validity_edge(self):
-        edge = 16.0 * math.log(4.0 / 0.005)
-        assert edge == pytest.approx(106.95378764268683, rel=1e-15)
-        env = quad_noise_envelope(edge, 0.005, 14, 1.0, 1.0)
-        assert env.lower == pytest.approx(2.666626161692979, rel=1e-15)
-        assert env.upper == pytest.approx(8.119929746875371, rel=1e-15)
-        thr = quad_noise_threshold(edge, 0.005, 14, 1.0, 1.0)
-        assert thr == pytest.approx(5.710156581779545, rel=1e-15)
-        assert env.lower <= thr <= env.upper
-
-    def test_envelope_upper_absent_below_validity_edge(self):
-        env = quad_noise_envelope(80, 0.005, 14, 1.0, 1.0)
-        assert env.upper is None
-        assert env.lower > 0
 
 
 class TestBracket:

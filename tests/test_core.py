@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inputdp
 from inputdp import Dataset, Example, LossConstants, ModelVector, PrivacyBudget
@@ -40,6 +44,25 @@ class TestProjectToBall:
             w = gen.standard_normal(5) * gen.uniform(0, 4)
             projected = inputdp.project_to_ball(w, 1.0)
             assert np.linalg.norm(projected.w) <= min(1.0, np.linalg.norm(w)) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.5, 100.0),
+        radius=st.floats(1e-3, 1e3),
+    )
+    def test_radius_holds_in_every_summation_order(self, dim, seed, scale, radius):
+        w = np.random.default_rng(seed).standard_normal(dim)
+        w *= scale * radius / np.linalg.norm(w)
+        once = inputdp.project_to_ball(w, radius).w
+        left_to_right = 0.0
+        for value in once.tolist():
+            left_to_right += value * value
+        assert math.sqrt(left_to_right) <= radius
+        assert math.sqrt(math.fsum(v * v for v in once.tolist())) <= radius
+        assert float(np.linalg.norm(once)) <= radius
+        assert np.array_equal(inputdp.project_to_ball(once, radius).w, once)
 
 
 class TestModelVector:

@@ -1,4 +1,9 @@
-"""Loss encoders, constants, and objective evaluation."""
+"""Loss encoders, constants, and objective evaluation.
+
+The encoders are checked against the loss formulas written out by hand:
+q = x, p = y x, s = y^2 / 2 for regression and q = x / 2, p = (y / 2) x,
+s = log 2 for the logistic surrogate.
+"""
 
 from __future__ import annotations
 
@@ -7,16 +12,12 @@ import math
 import numpy as np
 import pytest
 
-import inputdp
 from inputdp import (
     Dataset,
     Example,
     empirical_objective,
-    encode_linear_regression,
-    encode_logistic_quadratic,
     linear_regression_loss,
     logistic_quadratic_loss,
-    loss_value,
     make_loss,
     predict,
 )
@@ -32,81 +33,92 @@ def _random_valid_pair(gen, dim, classification=False):
     return Example(x=x, y=y)
 
 
+def _random_rows(gen, n, dim, scale=1.0):
+    """n rows drawn as in _random_valid_pair: inside the ball of ``scale``."""
+    rows = gen.standard_normal((n, dim))
+    rows *= scale * gen.uniform(0, 1, size=(n, 1)) / np.maximum(
+        1.0, np.linalg.norm(rows, axis=1, keepdims=True)
+    )
+    return rows
+
+
+def _random_dataset(gen, n, dim, classification=False):
+    features = _random_rows(gen, n, dim)
+    if classification:
+        labels = np.where(gen.uniform(size=n) < 0.5, 1.0, -1.0)
+    else:
+        labels = gen.uniform(-1, 1, size=n)
+    return Dataset(features=features, labels=labels)
+
+
+def _hand_stats(example, family):
+    """Per-example statistics written out from the loss formulas."""
+    x, y = example.x, example.y
+    if family == "linear_regression":
+        return x, y * x, y**2 / 2.0
+    return x / 2.0, (y / 2.0) * x, math.log(2.0)
+
+
+def _row_losses(stats, w_rows):
+    """(1/2)(q.w)^2 - p.w + s for each row, with row i's model w_rows[i]."""
+    q_all, p_all, s_all = stats
+    qw = np.einsum("ij,ij->i", q_all, w_rows)
+    return 0.5 * qw * qw - np.einsum("ij,ij->i", p_all, w_rows) + s_all
+
+
 class TestLinearRegressionEncoder:
     def test_concrete_example(self):
-        form = encode_linear_regression(Example(x=np.array([0.6, 0.8]), y=0.5))
-        assert form.q == pytest.approx([0.6, 0.8])
-        assert form.p == pytest.approx([0.3, 0.4])
-        assert form.s == pytest.approx(0.125)
+        ds = Dataset(features=np.array([[0.6, 0.8]]), labels=np.array([0.5]))
+        q_all, p_all, s_all = linear_regression_loss(1.0, 2).encode_dataset(ds)
+        assert q_all[0] == pytest.approx([0.6, 0.8])
+        assert p_all[0] == pytest.approx([0.3, 0.4])
+        assert s_all[0] == pytest.approx(0.125)
 
     def test_zero_features(self):
-        form = encode_linear_regression(Example(x=np.zeros(3), y=1.0))
-        assert np.array_equal(form.q, np.zeros(3))
-        assert np.array_equal(form.p, np.zeros(3))
-        assert form.s == pytest.approx(0.5)
+        ds = Dataset(features=np.zeros((1, 3)), labels=np.array([1.0]))
+        q_all, p_all, s_all = linear_regression_loss(1.0, 3).encode_dataset(ds)
+        assert np.array_equal(q_all, np.zeros((1, 3)))
+        assert np.array_equal(p_all, np.zeros((1, 3)))
+        assert s_all[0] == pytest.approx(0.5)
 
     def test_faithful_to_squared_error(self):
         gen = np.random.default_rng(10)
-        ex = _random_valid_pair(gen, 4)
-        form = encode_linear_regression(ex)
-        for _ in range(100):
-            w = gen.standard_normal(4)
-            w *= gen.uniform(0, 1) / max(1.0, np.linalg.norm(w))
-            direct = 0.5 * (w @ ex.x - ex.y) ** 2
-            assert loss_value(form, w) == pytest.approx(direct, abs=1e-12)
+        ds = _random_dataset(gen, 100, 4)
+        stats = linear_regression_loss(1.0, 4).encode_dataset(ds)
+        w_rows = _random_rows(gen, 100, 4)
+        x, y = ds.features, ds.labels
+        direct = 0.5 * (np.einsum("ij,ij->i", w_rows, x) - y) ** 2
+        assert np.allclose(_row_losses(stats, w_rows), direct, rtol=0.0, atol=1e-12)
 
 
 class TestLogisticEncoder:
     def test_concrete_example(self):
-        form = encode_logistic_quadratic(Example(x=np.array([1.0, 0.0]), y=1.0))
-        assert form.q == pytest.approx([0.5, 0.0])
-        assert form.p == pytest.approx([0.5, 0.0])
-        assert form.s == pytest.approx(math.log(2.0))
+        ds = Dataset(features=np.array([[1.0, 0.0]]), labels=np.array([1.0]))
+        q_all, p_all, s_all = logistic_quadratic_loss(1.0, 2).encode_dataset(ds)
+        assert q_all[0] == pytest.approx([0.5, 0.0])
+        assert p_all[0] == pytest.approx([0.5, 0.0])
+        assert s_all[0] == pytest.approx(math.log(2.0))
 
     def test_rejects_non_sign_labels(self):
-        with pytest.raises(ValueError):
-            encode_logistic_quadratic(Example(x=np.array([0.1]), y=0.5))
+        ds = Dataset(features=np.array([[0.1], [0.2]]), labels=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            logistic_quadratic_loss(1.0, 1).encode_dataset(ds)
 
     def test_matches_exact_logistic_at_zero(self):
         gen = np.random.default_rng(11)
-        ex = _random_valid_pair(gen, 3, classification=True)
-        form = encode_logistic_quadratic(ex)
-        assert loss_value(form, np.zeros(3)) == math.log(2.0)
+        ds = _random_dataset(gen, 20, 3, classification=True)
+        stats = logistic_quadratic_loss(1.0, 3).encode_dataset(ds)
+        assert np.all(_row_losses(stats, np.zeros((20, 3))) == math.log(2.0))
 
     def test_cubic_remainder_bound(self):
         gen = np.random.default_rng(12)
-        for _ in range(200):
-            ex = _random_valid_pair(gen, 3, classification=True)
-            form = encode_logistic_quadratic(ex)
-            w = gen.standard_normal(3)
-            w *= 0.5 * gen.uniform(0, 1) / max(1.0, np.linalg.norm(w))
-            margin = ex.y * (w @ ex.x)
-            exact = math.log1p(math.exp(-margin))
-            surrogate = loss_value(form, w)
-            assert abs(surrogate - exact) <= abs(w @ ex.x) ** 3 / 24.0 + 1e-15
-
-
-class TestLossValue:
-    def test_zero_model_returns_constant(self):
-        form = inputdp.QuadraticForm(q=np.array([0.3]), p=np.array([0.7]), s=2.5)
-        assert loss_value(form, np.zeros(1)) == 2.5
-
-    def test_pure_quadratic(self):
-        form = inputdp.QuadraticForm(
-            q=np.array([1.0, 0.0]), p=np.zeros(2), s=0.0
-        )
-        assert loss_value(form, np.array([2.0, 0.0])) == pytest.approx(2.0)
-
-    def test_matches_outer_product_evaluation(self):
-        gen = np.random.default_rng(13)
-        for _ in range(50):
-            q = gen.standard_normal(3)
-            p = gen.standard_normal(3)
-            s = float(gen.standard_normal())
-            w = gen.standard_normal(3)
-            form = inputdp.QuadraticForm(q=q, p=p, s=s)
-            naive = 0.5 * w @ np.outer(q, q) @ w - p @ w + s
-            assert loss_value(form, w) == pytest.approx(naive, abs=1e-12)
+        ds = _random_dataset(gen, 200, 3, classification=True)
+        stats = logistic_quadratic_loss(1.0, 3).encode_dataset(ds)
+        w_rows = _random_rows(gen, 200, 3, scale=0.5)
+        response = np.einsum("ij,ij->i", w_rows, ds.features)
+        exact = np.log1p(np.exp(-ds.labels * response))
+        surrogate = _row_losses(stats, w_rows)
+        assert np.all(np.abs(surrogate - exact) <= np.abs(response) ** 3 / 24.0 + 1e-15)
 
 
 class TestEmpiricalObjective:
@@ -137,7 +149,7 @@ class TestEmpiricalObjective:
         w = gen.standard_normal(3) * 0.5
         reg = 0.7
         by_hand = (
-            sum(loss_value(encode_linear_regression(ex), w) for ex in examples) / 10
+            sum(0.5 * (w @ ex.x - ex.y) ** 2 for ex in examples) / 10
             + reg / (2 * 10) * float(w @ w)
         )
         assert empirical_objective(ds, spec, w, reg_coeff=reg) == pytest.approx(
@@ -159,15 +171,10 @@ class TestDeclaredConstants:
     def test_lipschitz_bound_holds(self, factory, classification):
         spec = factory(radius=1.0, dim=4)
         gen = np.random.default_rng(16)
-        worst = 0.0
-        for _ in range(10_000):
-            ex = _random_valid_pair(gen, 4, classification=classification)
-            form = spec.encoder(ex)
-            w = gen.standard_normal(4)
-            w *= gen.uniform(0, 1) / max(1.0, np.linalg.norm(w))
-            grad = np.outer(form.q, form.q) @ w - form.p
-            worst = max(worst, float(np.linalg.norm(grad)))
-        assert worst <= spec.constants.lipschitz + 1e-9
+        q_all, p_all, _ = spec.encode_dataset(_random_dataset(gen, 10_000, 4, classification))
+        w_rows = _random_rows(gen, 10_000, 4)
+        grads = q_all * np.einsum("ij,ij->i", q_all, w_rows)[:, None] - p_all
+        assert float(np.max(np.linalg.norm(grads, axis=1))) <= spec.constants.lipschitz + 1e-9
 
     @pytest.mark.parametrize(
         "factory,classification",
@@ -176,10 +183,8 @@ class TestDeclaredConstants:
     def test_smoothness_bound_holds(self, factory, classification):
         spec = factory(radius=1.0, dim=4)
         gen = np.random.default_rng(17)
-        for _ in range(2_000):
-            ex = _random_valid_pair(gen, 4, classification=classification)
-            form = spec.encoder(ex)
-            assert float(form.q @ form.q) <= spec.constants.smoothness + 1e-9
+        q_all, _, _ = spec.encode_dataset(_random_dataset(gen, 10_000, 4, classification))
+        assert float(np.max(np.sum(q_all * q_all, axis=1))) <= spec.constants.smoothness + 1e-9
 
     def test_linear_regression_constants(self):
         spec = linear_regression_loss(radius=2.0, dim=5)
@@ -217,12 +222,12 @@ class TestFactoryAndPredict:
 
     def test_encode_dataset_matches_per_example_encoders(self):
         gen = np.random.default_rng(18)
-        examples = [_random_valid_pair(gen, 3) for _ in range(7)]
-        ds = Dataset.from_examples(examples)
-        spec = linear_regression_loss(radius=1.0, dim=3)
-        q_all, p_all, s_all = spec.encode_dataset(ds)
-        for i, ex in enumerate(examples):
-            form = encode_linear_regression(ex)
-            assert np.array_equal(q_all[i], form.q)
-            assert np.array_equal(p_all[i], form.p)
-            assert s_all[i] == form.s
+        for family in ("linear_regression", "logistic"):
+            examples = [_random_valid_pair(gen, 3, family == "logistic") for _ in range(7)]
+            ds = Dataset.from_examples(examples)
+            q_all, p_all, s_all = make_loss(family, radius=1.0, dim=3).encode_dataset(ds)
+            for i, ex in enumerate(examples):
+                q, p, s = _hand_stats(ex, family)
+                assert np.array_equal(q_all[i], q)
+                assert np.array_equal(p_all[i], p)
+                assert s_all[i] == s

@@ -29,6 +29,7 @@ from inputdp import (
     assemble_released,
     calibrate,
     empirical_objective,
+    explicit_ridge,
     learn_input_perturbed,
     learn_non_private,
     learn_objective_perturbed,
@@ -282,6 +283,18 @@ class TestExactSolveProperties:
             assert result.multiplier > 0.0
             assert float(np.linalg.norm(result.w)) == pytest.approx(radius, rel=1e-13)
 
+    def test_boundary_solve_leaves_roundoff_out_of_the_null_space(self):
+        # A boundary instance with a small multiplier (nu ~ 7e-5): the
+        # roundoff of b on A's null space, scaled by 1/nu, once put
+        # 1.6e-11 of the answer there.
+        A, span, null, gen = psd_instance(990, 7, 4)
+        b = span @ gen.standard_normal(4)
+        program = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=0.0, radius=5.734375)
+        result = minimize_ball_constrained(program)
+        assert 0.0 < result.multiplier < 1e-4
+        assert_kkt(program, result)
+        assert float(np.linalg.norm(null.T @ result.w)) <= 1e-12 * (1.0 + program.radius)
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=SEEDS,
@@ -325,7 +338,7 @@ class TestAssembly:
         gen = np.random.default_rng(14)
         spec = linear_regression_loss(dim=3, radius=1.0)
         ds = random_dataset(gen, 12, 3)
-        prog = assemble_plain(ds, spec, reg_coeff=0.7)
+        prog = assemble_plain(*spec.encode_dataset(ds), spec.constants.radius, reg_coeff=0.7)
         assert prog.radius == spec.constants.radius
         for _ in range(20):
             w = gen.standard_normal(3)
@@ -351,11 +364,45 @@ class TestAssembly:
         released = perturb_dataset(ds, spec, zero_cal, RngStream(0))
         floor = ridge_floor(spec.constants.smoothness, BUDGET.epsilon)
         prog = assemble_released(released, spec.constants, BUDGET, reg_cap=floor)
-        plain = assemble_plain(ds, spec, reg_coeff=0.0)
+        plain = assemble_plain(*spec.encode_dataset(ds), spec.constants.radius)
         assert np.array_equal(prog.A, plain.A)
         assert np.array_equal(prog.b_lin, plain.b_lin)
         assert prog.c0 == plain.c0
         assert prog.reg == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        dim=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        cap_over_floor=st.floats(1.0, 50.0),
+        tilt_scale=st.floats(0.0, 1e3),
+    )
+    def test_released_is_plain_over_the_release(self, n, dim, seed, cap_over_floor, tilt_scale):
+        gen = np.random.default_rng(seed)
+        released = Release(
+            Q=gen.standard_normal((n, dim)),
+            P=gen.standard_normal((n, dim)),
+            S=gen.standard_normal(n),
+        )
+        constants = LossConstants(lipschitz=2.0, smoothness=1.0, radius=1.5, dim=dim)
+        reg_cap = cap_over_floor * ridge_floor(constants.smoothness, BUDGET.epsilon)
+        prog = assemble_released(released, constants, BUDGET, reg_cap)
+        ridge = explicit_ridge(reg_cap, constants.smoothness, BUDGET.epsilon)
+        plain = assemble_plain(released.Q, released.P, released.S, constants.radius, ridge)
+        for got in (prog, plain):
+            assert np.array_equal(got.A, released.Q.T @ released.Q / n)
+            assert np.array_equal(got.b_lin, -released.P.mean(axis=0))
+            assert got.c0 == float(released.S.mean())
+            assert got.reg == ridge / n
+            assert got.radius == constants.radius
+        tilt = gen.standard_normal(dim) * tilt_scale
+        tilted = assemble_plain(
+            released.Q, released.P, released.S, constants.radius, ridge, tilt=tilt
+        )
+        assert np.array_equal(tilted.A, plain.A)
+        assert np.array_equal(tilted.b_lin, -released.P.mean(axis=0) + tilt / n)
+        assert (tilted.c0, tilted.reg) == (plain.c0, plain.reg)
 
     def test_released_rejects_empty_and_low_cap(self):
         spec = linear_regression_loss(dim=2, radius=1.0)
@@ -527,7 +574,9 @@ class TestLearnOutputPerturbed:
         dataset = output_dataset
         spec = linear_regression_loss(dim=4, radius=1.0)
         reg_strength, epsilon = 2.0, 40.0
-        ridge = assemble_plain(dataset, spec, reg_coeff=reg_strength * 50)
+        ridge = assemble_plain(
+            *spec.encode_dataset(dataset), spec.constants.radius, reg_coeff=reg_strength * 50
+        )
         w_ridge = minimize_ball_constrained(ridge).w
         assert float(np.linalg.norm(w_ridge)) == pytest.approx(
             0.010601595637682763, rel=1e-12
@@ -548,7 +597,7 @@ class TestLearnOutputPerturbed:
     def test_vanishing_noise_limit(self, output_dataset):
         dataset = output_dataset
         spec = linear_regression_loss(dim=4, radius=1.0)
-        ridge = assemble_plain(dataset, spec, reg_coeff=2.0 * 50)
+        ridge = assemble_plain(*spec.encode_dataset(dataset), spec.constants.radius, 2.0 * 50)
         w_ridge = minimize_ball_constrained(ridge).w
         out = learn_output_perturbed(
             dataset, spec, 1e12, RngStream(33, path=(66,)), reg_strength=2.0
