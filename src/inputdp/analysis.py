@@ -31,9 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import (
-    NoiseCalibration,
     calibrate,
     explicit_ridge,
+    gaussian_noise_constant,
     local_dp_asymptote,
     local_dp_level,
     noise_ridge_bounds,
@@ -135,7 +135,7 @@ def reconstruct_objective_identity(
     wa = model_array(w)
     q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
     n = len(dataset)
-    ridge = reg_cap - ridge_floor(spec.constants.smoothness, epsilon)
+    ridge = explicit_ridge(reg_cap, spec.constants.smoothness, epsilon)
 
     q_released = q_stats + record.quad_noise
     p_released = p_stats - record.linear_noise
@@ -490,7 +490,7 @@ def run_check_suite(seed: int = 0) -> list[dict]:
     # must be flagged as violating.
     budget = PrivacyBudget(epsilon=0.5, delta=0.01)
     diameter = 1.0
-    sigma = math.sqrt(2.0 * math.log(1.25 / budget.delta)) * diameter / budget.epsilon
+    sigma = gaussian_noise_constant(budget.delta) * diameter / budget.epsilon
     observed = dp_verifier_gaussian_1d(diameter, sigma, budget.epsilon)
     checks.append(
         _check(

@@ -23,10 +23,14 @@ for the noise scale gives :func:`quad_noise_threshold`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .core import LossConstants, PrivacyBudget
+
+#: Factor by which the quadratic-noise variance exceeds the threshold
+#: variance, so the noise ridge clears the floor strictly.
+CALIBRATION_SLACK = 1.0001
 
 
 class CalibrationInfeasibleError(ValueError):
@@ -59,6 +63,11 @@ def explicit_ridge(reg_cap: float, smoothness: float, epsilon: float) -> float:
             "the privacy argument requires reg_cap >= 2 * smoothness / epsilon"
         )
     return reg_cap - floor
+
+
+def gaussian_noise_constant(delta: float) -> float:
+    """The Gaussian-mechanism constant sqrt(2 ln(1.25/delta))."""
+    return math.sqrt(2.0 * math.log(1.25 / delta))
 
 
 def linear_noise_variance(budget: PrivacyBudget, lipschitz: float) -> float:
@@ -157,31 +166,40 @@ def quad_noise_threshold(
 class NoiseCalibration:
     """Everything a contributor needs to randomize their statistics.
 
-    Produced by :func:`calibrate`; direct construction skips the
-    feasibility checks (handy for degenerate test setups such as
-    zero-variance overrides) and only validates non-negativity.
+    A pure function of ``(n, budget, constants)``: the other fields are
+    derived, never set.  The failure probability and the linear-noise
+    delta share are each delta/2.  The linear-noise variance follows the
+    Gaussian-mechanism scale for aggregated per-contributor noise; the
+    quadratic-noise variance is the threshold variance inflated by
+    :data:`CALIBRATION_SLACK`, which keeps the noise ridge *strictly*
+    above the floor on the good event.  Raises
+    :class:`CalibrationInfeasibleError` when n is too small.
     """
 
     n: int
     budget: PrivacyBudget
     constants: LossConstants
-    fail_prob: float
-    delta_linear: float
-    tail_ratio: float
-    linear_noise_var: float
-    quad_noise_var: float
-    slack: float = 1.0
+    fail_prob: float = field(init=False)
+    delta_linear: float = field(init=False)
+    tail_ratio: float = field(init=False)
+    linear_noise_var: float = field(init=False)
+    quad_noise_var: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        for name in ("linear_noise_var", "quad_noise_var"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("fail_prob", "delta_linear"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+        fail_prob = self.budget.delta / 2.0
+        threshold = quad_noise_threshold(
+            self.n, fail_prob, self.constants.dim, self.constants.smoothness,
+            self.budget.epsilon,
+        )
+        derived = {
+            "fail_prob": fail_prob,
+            "delta_linear": self.budget.delta / 2.0,
+            "tail_ratio": math.sqrt(math.log(2.0 / fail_prob) / self.n),
+            "linear_noise_var": linear_noise_variance(self.budget, self.constants.lipschitz),
+            "quad_noise_var": CALIBRATION_SLACK * threshold**2,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def linear_noise_sd(self) -> float:
@@ -210,41 +228,14 @@ class NoiseCalibration:
             "tail_ratio": self.tail_ratio,
             "linear_noise_var": self.linear_noise_var,
             "quad_noise_var": self.quad_noise_var,
-            "slack": self.slack,
+            "slack": CALIBRATION_SLACK,
         }
 
 
-def calibrate(
-    budget: PrivacyBudget, n: int, constants: LossConstants, slack: float = 1.0001
-) -> NoiseCalibration:
-    """Choose the two noise variances for the given budget and dataset size.
-
-    The failure probability and the linear-noise delta share are each set
-    to delta/2.  The linear-noise variance follows the Gaussian-mechanism
-    scale for aggregated per-contributor noise; the quadratic-noise
-    variance is the threshold variance inflated by ``slack`` (> 1), which
-    keeps the noise ridge *strictly* above the floor on the good event.
-    """
-    if slack <= 1.0:
-        raise ValueError(f"slack must be > 1 (strict threshold clearance), got {slack!r}")
-    fail_prob = budget.delta / 2.0
-    delta_linear = budget.delta / 2.0
-    eps = budget.epsilon
-    threshold = quad_noise_threshold(
-        n, fail_prob, constants.dim, constants.smoothness, eps
-    )
-    linear_noise_var = linear_noise_variance(budget, constants.lipschitz)
-    return NoiseCalibration(
-        n=n,
-        budget=budget,
-        constants=constants,
-        fail_prob=fail_prob,
-        delta_linear=delta_linear,
-        tail_ratio=math.sqrt(math.log(2.0 / fail_prob) / n),
-        linear_noise_var=linear_noise_var,
-        quad_noise_var=slack * threshold**2,
-        slack=slack,
-    )
+def calibrate(budget: PrivacyBudget, n: int, constants: LossConstants) -> NoiseCalibration:
+    """The pipeline's calibration stage: the noise variances for the given
+    budget and dataset size (see :class:`NoiseCalibration`)."""
+    return NoiseCalibration(n=n, budget=budget, constants=constants)
 
 
 @dataclass(frozen=True)
@@ -286,9 +277,7 @@ def local_dp_level(
     c * D * sqrt(n) / (noise sd) in epsilon, and the two releases compose
     additively in epsilon and delta.
     """
-    if cal.linear_noise_var <= 0 or cal.quad_noise_var <= 0:
-        raise ValueError("local privacy level requires strictly positive noise variances")
-    c = math.sqrt(2.0 * math.log(1.25 / cal.budget.delta))
+    c = gaussian_noise_constant(cal.budget.delta)
     root_n = math.sqrt(cal.n)
 
     def level(diam_q: float, diam_p: float) -> float:
@@ -315,7 +304,7 @@ def local_dp_asymptote(budget: PrivacyBudget, constants: LossConstants) -> float
         2 c (sqrt(smoothness / 2)
              + sqrt(epsilon / (8 log(2/delta_linear) + 4 epsilon))).
     """
-    c = math.sqrt(2.0 * math.log(1.25 / budget.delta))
+    c = gaussian_noise_constant(budget.delta)
     delta_linear = budget.delta / 2.0
     eps = budget.epsilon
     return 2.0 * c * (

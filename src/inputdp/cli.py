@@ -51,7 +51,7 @@ def _add_loss_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     budget = scale_budget(PrivacyBudget(args.epsilon, args.delta), args.alpha)
     spec = make_loss(args.task, args.radius, args.dim)
-    cal = calibrate(budget, args.n, spec.constants, slack=args.slack)
+    cal = calibrate(budget, args.n, spec.constants)
     payload = {
         "calibration": cal.to_dict(),
         "ridge_floor": cal.ridge_floor,
@@ -77,7 +77,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
         return 1
     spec = make_loss(args.task, args.radius, dataset.dim)
     budget = scale_budget(PrivacyBudget(args.epsilon, args.delta), args.alpha)
-    cal = calibrate(budget, len(dataset), spec.constants, slack=args.slack)
+    cal = calibrate(budget, len(dataset), spec.constants)
     released = perturb_dataset(
         dataset, spec, cal, RngStream(args.seed, path=(3,))
     )
@@ -90,12 +90,12 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     released = read_perturbed_csv(args.input)
     spec = make_loss(args.task, args.radius, released.dim)
     budget = scale_budget(PrivacyBudget(args.epsilon, args.delta), args.alpha)
-    cal = calibrate(budget, len(released), spec.constants, slack=args.slack)
+    cal = calibrate(budget, len(released), spec.constants)
     reg_cap = args.reg_cap
     if reg_cap is None:
         reg_cap = recommend_reg_cap(spec.constants, budget)
     model = learn_input_perturbed(released, spec.constants, budget, reg_cap=reg_cap)
-    save_model(args.out, model, mechanism="input", calibration=cal, seed=args.seed)
+    save_model(args.out, model, mechanism="input", calibration=cal)
     print(f"wrote model (dim {model.dim}) to {args.out}")
     return 0
 
@@ -159,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loss_args(p_cal)
     p_cal.add_argument("--n", type=int, required=True, help="number of contributors")
     p_cal.add_argument("--dim", type=int, required=True, help="feature dimension")
-    p_cal.add_argument("--slack", type=float, default=1.0001)
     p_cal.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p_cal.set_defaults(func=_cmd_calibrate)
 
@@ -169,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--in", dest="input", required=True, help="raw CSV path")
     p_pert.add_argument("--target", required=True, help="label column name")
     p_pert.add_argument("--label-threshold", type=float, default=None)
-    p_pert.add_argument("--slack", type=float, default=1.0001)
     p_pert.add_argument("--seed", type=int, default=0)
     p_pert.add_argument("--out", required=True, help="released-statistics CSV path")
     p_pert.set_defaults(func=_cmd_perturb)
@@ -179,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_loss_args(p_learn)
     p_learn.add_argument("--in", dest="input", required=True, help="released-statistics CSV")
     p_learn.add_argument("--reg-cap", type=float, default=None)
-    p_learn.add_argument("--slack", type=float, default=1.0001)
-    p_learn.add_argument("--seed", type=int, default=0)
     p_learn.add_argument("--out", required=True, help="model JSON path")
     p_learn.set_defaults(func=_cmd_learn)
 

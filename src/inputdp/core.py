@@ -187,7 +187,15 @@ class ModelVector:
         # the radius.  A step that rounds back to w moves every coordinate
         # one ulp towards zero instead, so the loop ends.  Projecting an
         # already-projected vector returns it bit-identically.
-        nrm = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(w))
+        if math.isinf(nrm):
+            # The squares overflow, and radius / inf would send w to 0:
+            # take the norm of w / max|w_i| instead, keeping w's direction.
+            peak = float(np.max(np.abs(w)))
+            w = w * min(self.radius / peak / float(np.linalg.norm(w / peak)), 1.0)
+            w.flags.writeable = False
+            nrm = float(np.linalg.norm(w))
         while _norm_any_order(w) > self.radius:
             scaled = np.array(w * min(self.radius / nrm, 1.0))
             if np.array_equal(scaled, w):

@@ -75,7 +75,6 @@ class ExperimentConfig:
     reg_cap: float | None = None
     w_norm_estimate: float | None = None
     output_reg: float = 1e-3
-    slack: float = 1.0001
     seed: int = 0
     data: str = "synthetic"
     dim: int = 14
@@ -446,7 +445,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     if "input" in config.mechanisms:
         for n in config.n_grid:
             try:
-                calibrations[n] = calibrate(input_budget, n, spec.constants, config.slack)
+                calibrations[n] = calibrate(input_budget, n, spec.constants)
             except CalibrationInfeasibleError as exc:
                 # The run continues with the input cells at this n marked
                 # infeasible in the report instead of trained.

@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .calibration import NoiseCalibration
+from .calibration import NoiseCalibration, gaussian_noise_constant
 from .core import Dataset, PrivacyBudget
 from .loss import LossSpec
 
@@ -39,6 +39,9 @@ _CSV_ROWS = 1024
 # Box-Muller scales: a word's top 53 bits times 2^-53 lies in [0, 1).
 _UNIT = 2.0**-53
 _TURN = 2.0 * math.pi * _UNIT
+# Relative margin by which gaussian_release's noise multiplier exceeds the
+# sqrt(2 ln(1.25/delta)) infimum.
+GAUSSIAN_RELEASE_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -207,15 +210,16 @@ def perturb_dataset(
 
 
 def gaussian_release(
-    x: np.ndarray, diameter: float, budget: PrivacyBudget, rng: RngStream, slack: float = 1e-6
+    x: np.ndarray, diameter: float, budget: PrivacyBudget, rng: RngStream
 ) -> np.ndarray:
     """Standard Gaussian-mechanism release of a bounded vector.
 
-    Adds iid noise with sd (1 + slack) * sqrt(2 ln(1.25/delta)) *
-    diameter / epsilon.  The guarantee needs the noise multiplier to be
-    *strictly* above the sqrt(2 ln(1.25/delta)) infimum, hence the
-    slack, and it only holds for epsilon in (0, 1), which is enforced
-    here (the rest of the pipeline tolerates larger budgets).
+    Adds iid noise with sd (1 + GAUSSIAN_RELEASE_SLACK) *
+    sqrt(2 ln(1.25/delta)) * diameter / epsilon.  The guarantee needs the
+    noise multiplier to be *strictly* above the sqrt(2 ln(1.25/delta))
+    infimum, hence the margin, and it only holds for epsilon in (0, 1),
+    which is enforced here (the rest of the pipeline tolerates larger
+    budgets).
     """
     if budget.epsilon >= 1.0:
         raise ValueError(
@@ -225,14 +229,12 @@ def gaussian_release(
         )
     if diameter <= 0:
         raise ValueError(f"diameter must be > 0, got {diameter!r}")
-    if slack < 0:
-        raise ValueError(f"slack must be >= 0, got {slack!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"x must be a 1-D vector, got shape {x.shape}")
     sd = (
-        (1.0 + slack)
-        * math.sqrt(2.0 * math.log(1.25 / budget.delta))
+        (1.0 + GAUSSIAN_RELEASE_SLACK)
+        * gaussian_noise_constant(budget.delta)
         * diameter
         / budget.epsilon
     )

@@ -374,7 +374,6 @@ def save_model(
     model: ModelVector,
     mechanism: str,
     calibration: NoiseCalibration | None = None,
-    seed: int | None = None,
 ) -> None:
     """Write a model artifact as JSON (dim, weights, mechanism, provenance)."""
     payload = {
@@ -383,7 +382,6 @@ def save_model(
         "radius": model.radius,
         "mechanism": mechanism,
         "calibration": calibration.to_dict() if calibration is not None else None,
-        "seed": seed,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -123,6 +123,18 @@ class TestObjectiveReconstruction:
                 )
                 assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
+    def test_cap_below_the_ridge_floor_refused(self, small_dataset):
+        # At epsilon = 1 the floor is 2: a cap of 1.9 would evaluate an
+        # objective whose total ridge no privacy argument covers.
+        spec = linear_regression_loss(dim=3, radius=1.0)
+        from inputdp import NoiseRecord
+
+        record = NoiseRecord(quad_noise=np.zeros((40, 3)), linear_noise=np.zeros((40, 3)))
+        with pytest.raises(ValueError, match="ridge floor"):
+            reconstruct_objective_identity(
+                small_dataset, spec, record, np.zeros(3), reg_cap=1.9, epsilon=1.0
+            )
+
 
 class TestWorstCaseQuadStats:
     def test_row_geometry(self):

@@ -4,14 +4,17 @@
 library functions, and a metric whose function has gone is dropped from
 the result.  So a change that renames or removes one of those functions,
 or that makes a metric non-finite, breaks the benchmark's result line
-without failing a job.  This test runs one traced job of every workload
-and checks what the runner would report.
+without failing a job.  One test runs one traced job of every workload
+and checks what the runner would report; another runs the runner itself
+on a short traced flagship run and parses its last stdout line, the
+result line, as strict JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -52,3 +55,20 @@ def test_traced_job_reports_every_per_layer_metric(name, tmp_path):
     assert {k: v for k, v in metrics.items() if not math.isfinite(v)} == {}
     # trace.overhead compares traced with untraced jobs; the runner adds it.
     assert set(PER_LAYER) - set(metrics) == {layers.OVERHEAD[0]}
+
+
+def _reject_non_finite(constant: str):
+    raise ValueError(f"result line holds the non-JSON constant {constant}")
+
+
+def test_traced_flagship_run_ends_with_its_result_line():
+    completed = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "flagship", "--seed", "0",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, cwd=PERFBENCH.parent,
+    )
+    assert completed.returncode == 0, completed.stderr
+    result = json.loads(completed.stdout.splitlines()[-1], parse_constant=_reject_non_finite)
+    assert result["failed"] == 0 and result["correct"] is True
+    assert result["attempted"] >= 1
+    assert set(PER_LAYER) <= set(result["metrics"])

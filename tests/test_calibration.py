@@ -16,6 +16,7 @@ import inputdp
 from inputdp import (
     CalibrationInfeasibleError,
     LossConstants,
+    NoiseCalibration,
     PrivacyBudget,
     calibrate,
     explicit_ridge,
@@ -130,16 +131,35 @@ class TestCalibrate:
         assert cal.delta_linear == 0.005
         assert cal.linear_noise_var == pytest.approx(51.931716376863854, rel=1e-15)
         assert cal.quad_noise_var == pytest.approx(4.414470792055215, rel=1e-15)
-        assert cal.slack == 1.0001
+        assert cal.to_dict()["slack"] == 1.0001
 
     def test_quad_variance_is_slack_times_threshold_square(self):
         thr = quad_noise_threshold(1024, 0.005, 14, 1.0, 1.0)
         cal = calibrate(BUDGET, 1024, CONSTANTS_D14)
         assert cal.quad_noise_var == pytest.approx(1.0001 * thr**2, rel=1e-15)
 
-    def test_slack_must_exceed_one(self):
-        with pytest.raises(ValueError):
+    def test_noise_values_cannot_be_chosen(self):
+        # The derived fields are not constructor arguments, and there is
+        # no slack knob: every calibration is a function of (n, budget,
+        # constants) alone.
+        for name in ("fail_prob", "delta_linear", "tail_ratio", "linear_noise_var",
+                     "quad_noise_var", "slack"):
+            with pytest.raises(TypeError):
+                NoiseCalibration(n=1024, budget=BUDGET, constants=CONSTANTS_D14, **{name: 0.0})
+        with pytest.raises(TypeError):
             calibrate(BUDGET, 1024, CONSTANTS_D14, slack=1.0)
+
+    def test_constructor_is_the_calibration(self):
+        assert NoiseCalibration(1024, BUDGET, CONSTANTS_D14) == calibrate(
+            BUDGET, 1024, CONSTANTS_D14
+        )
+
+    def test_constructor_refuses_infeasible_n(self):
+        # min_feasible_n(0.005) = 27: the constructor itself refuses n = 26.
+        assert NoiseCalibration(27, BUDGET, CONSTANTS_D14).n == 27
+        with pytest.raises(CalibrationInfeasibleError) as err:
+            NoiseCalibration(26, BUDGET, CONSTANTS_D14)
+        assert err.value.min_n == 27
 
     def test_infeasible_small_n(self):
         with pytest.raises(CalibrationInfeasibleError) as err:

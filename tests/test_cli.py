@@ -58,7 +58,7 @@ class TestCalibrateCommand:
 
         budget = PrivacyBudget(epsilon=0.5, delta=0.01)
         spec = make_loss("linear_regression", 1.0, 4)
-        cal = calibrate(budget, 500, spec.constants, slack=1.0001)
+        cal = calibrate(budget, 500, spec.constants)
         level = local_dp_level(cal, spec.bound_q, spec.bound_p)
         assert payload["calibration"] == cal.to_dict()
         assert payload["ridge_floor"] == cal.ridge_floor
@@ -79,7 +79,7 @@ class TestCalibrateCommand:
         payload = json.loads(capsys.readouterr().out)
         budget = scale_budget(PrivacyBudget(epsilon=0.5, delta=0.01), 0.5)
         spec = make_loss("linear_regression", 1.0, 4)
-        cal = calibrate(budget, 500, spec.constants, slack=1.0001)
+        cal = calibrate(budget, 500, spec.constants)
         assert payload["calibration"] == cal.to_dict()
 
     def test_out_file(self, capsys, tmp_path):
@@ -108,7 +108,7 @@ class TestPerturbLearnPipeline:
         dataset, _ = load_csv(raw_csv, "y", scale=True)
         spec = make_loss("linear_regression", 1.0, 3)
         budget = scale_budget(PrivacyBudget(epsilon=0.8, delta=0.01), 1.0)
-        cal = calibrate(budget, 40, spec.constants, slack=1.0001)
+        cal = calibrate(budget, 40, spec.constants)
         expected = perturb_dataset(dataset, spec, cal, RngStream(5, path=(3,)))
         released = read_perturbed_csv(released_path)
         assert len(released) == 40
@@ -119,14 +119,14 @@ class TestPerturbLearnPipeline:
         model_path = tmp_path / "model.json"
         rc = main(
             ["learn", "--epsilon", "0.8", "--delta", "0.01", "--in", str(released_path),
-             "--seed", "5", "--out", str(model_path)]
+             "--out", str(model_path)]
         )
         assert rc == 0
         assert f"wrote model (dim 3) to {model_path}" in capsys.readouterr().out
 
         model, payload = load_model(model_path)
         assert payload["mechanism"] == "input"
-        assert payload["seed"] == 5
+        assert "seed" not in payload
         assert payload["calibration"] == cal.to_dict()
         direct = learn_input_perturbed(
             released, spec.constants, budget, reg_cap=recommend_reg_cap(spec.constants, budget)
@@ -222,6 +222,14 @@ class TestArgumentParsing:
             ["frobnicate"],
             ["experiment", "--format", "yaml"],
             [],
+            # The calibration slack is a constant and learn draws nothing,
+            # so these flags are gone.
+            ["calibrate", "--epsilon", "0.5", "--delta", "0.01", "--n", "100", "--dim", "2",
+             "--slack", "1.5"],
+            ["perturb", "--epsilon", "0.5", "--delta", "0.01", "--in", "raw.csv", "--target",
+             "y", "--out", "released.csv", "--slack", "1.5"],
+            ["learn", "--epsilon", "0.5", "--delta", "0.01", "--in", "released.csv", "--out",
+             "model.json", "--seed", "5"],
         ],
     )
     def test_bad_invocations_exit_2(self, argv):

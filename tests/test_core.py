@@ -64,6 +64,18 @@ class TestProjectToBall:
         assert float(np.linalg.norm(once)) <= radius
         assert np.array_equal(inputdp.project_to_ball(once, radius).w, once)
 
+    @pytest.mark.parametrize(
+        "w, expected",
+        [([1e200, 0.0], [1.0, 0.0]), ([3e200, -4e200], [0.6, -0.8]),
+         ([1e308, 1e308], [math.sqrt(0.5), math.sqrt(0.5)])],
+    )
+    def test_overflowing_norm_keeps_direction(self, w, expected):
+        # The squares overflow to inf, so dividing by the plain norm would
+        # send these points to 0 rather than onto the sphere.
+        projected = inputdp.project_to_ball(np.array(w), 1.0).w
+        assert projected == pytest.approx(expected, abs=1e-15)
+        assert float(np.linalg.norm(projected)) <= 1.0
+
 
 class TestModelVector:
     def test_projects_at_construction(self):

@@ -205,6 +205,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict({"foo": 1})
 
+    def test_from_dict_rejects_the_removed_slack_field(self):
+        # The calibration slack is a library constant, so a config that
+        # still carries it is refused rather than silently ignored.
+        payload = ExperimentConfig().to_dict()
+        assert "slack" not in payload
+        with pytest.raises(ValueError, match=r"unknown config fields: \['slack'\]"):
+            ExperimentConfig.from_dict({**payload, "slack": 1.0001})
+
 
 class TestRunExperiment:
     def test_non_private_cell_matches_a_direct_fit(self):
@@ -266,7 +274,7 @@ class TestRunExperiment:
         budget = scale_budget(GOLDEN_CONFIG.budget, GOLDEN_CONFIG.alpha)
         spec = make_loss("linear_regression", 1.0, GOLDEN_CONFIG.dim)
         for n in GOLDEN_CONFIG.n_grid:
-            cal = calibrate(budget, n, spec.constants, GOLDEN_CONFIG.slack)
+            cal = calibrate(budget, n, spec.constants)
             level = local_dp_level(cal, spec.bound_q, spec.bound_p)
             echoed = golden_report.local_privacy[str(n)]
             assert echoed["epsilon_constants_convention"] == level.epsilon_constants_convention

@@ -18,11 +18,13 @@ import numpy as np
 import pytest
 
 from inputdp import (
+    CalibrationInfeasibleError,
     Dataset,
     NoiseCalibration,
     PrivacyBudget,
     Release,
     RngStream,
+    calibrate,
     gaussian_release,
     linear_regression_loss,
     perturb_dataset,
@@ -33,19 +35,8 @@ from inputdp.perturb import _CHILD_BATCH, _box_muller
 from tests._oracles import box_muller_normals
 
 BUDGET = PrivacyBudget(epsilon=1.0, delta=0.01)
-
-
-def make_calibration(n, constants, quad_var, linear_var):
-    return NoiseCalibration(
-        n=n,
-        budget=BUDGET,
-        constants=constants,
-        fail_prob=0.005,
-        delta_linear=0.005,
-        tail_ratio=0.1,
-        linear_noise_var=linear_var,
-        quad_noise_var=quad_var,
-    )
+# The smallest cohort calibrate accepts at delta = 0.01.
+MIN_N = 27
 
 
 class TestRngStream:
@@ -188,28 +179,36 @@ class TestRelease:
             Release(**arrays)
 
 
-def one_row(dim):
-    """A 1-row dataset and its linear-regression spec."""
+def small_cohort(dim):
+    """A MIN_N-row dataset and its linear-regression spec."""
     gen = np.random.default_rng(dim)
-    x = gen.normal(size=(1, dim))
-    x /= 2.0 * np.linalg.norm(x)
-    return Dataset(features=x, labels=np.array([0.5])), linear_regression_loss(dim=dim, radius=1.0)
+    x = gen.normal(size=(MIN_N, dim))
+    x /= 2.0 * np.linalg.norm(x, axis=1, keepdims=True)
+    labels = gen.uniform(-1, 1, size=MIN_N)
+    return Dataset(features=x, labels=labels), linear_regression_loss(dim=dim, radius=1.0)
 
 
 class TestPerturbExample:
-    """One contributor: perturb_dataset on 1-row datasets."""
+    """Per-contributor rows: perturb_dataset on the smallest feasible cohort."""
 
-    def test_zero_variance_is_identity(self):
-        ds, spec = one_row(3)
-        cal = make_calibration(1, spec.constants, 0.0, 0.0)
-        out = perturb_dataset(ds, spec, cal, RngStream(0))
-        q, p, s = spec.encode_dataset(ds)
-        assert len(out) == 1
-        assert np.array_equal(out.Q, q) and np.array_equal(out.P, p) and np.array_equal(out.S, s)
+    def test_raw_release_cannot_be_requested(self):
+        # No calibration carries chosen (say zero) variances, and none
+        # exists for a cohort too small to calibrate, so perturb_dataset
+        # never releases the raw statistics.
+        ds, spec = small_cohort(3)
+        with pytest.raises(TypeError):
+            NoiseCalibration(n=1, budget=BUDGET, constants=spec.constants, fail_prob=0.005,
+                             delta_linear=0.005, tail_ratio=0.1, linear_noise_var=0.0,
+                             quad_noise_var=0.0)
+        with pytest.raises(CalibrationInfeasibleError):
+            calibrate(BUDGET, 1, spec.constants)
+        out = perturb_dataset(ds, spec, calibrate(BUDGET, MIN_N, spec.constants), RngStream(0))
+        q, p, _ = spec.encode_dataset(ds)
+        assert np.all(out.Q != q) and np.all(out.P != p)
 
     def test_recorded_noise_reconstructs_release(self):
-        ds, spec = one_row(2)
-        cal = make_calibration(1, spec.constants, 2.0, 3.0)
+        ds, spec = small_cohort(2)
+        cal = calibrate(BUDGET, MIN_N, spec.constants)
         out, record = perturb_dataset(ds, spec, cal, RngStream(5, path=(8,)), record_noise=True)
         q, p, s = spec.encode_dataset(ds)
         assert np.array_equal(out.Q, q + record.quad_noise)
@@ -218,8 +217,8 @@ class TestPerturbExample:
         assert np.all(record.quad_noise != 0.0) and np.all(record.linear_noise != 0.0)
 
     def test_deterministic_given_stream(self):
-        ds, spec = one_row(2)
-        cal = make_calibration(1, spec.constants, 2.0, 3.0)
+        ds, spec = small_cohort(2)
+        cal = calibrate(BUDGET, MIN_N, spec.constants)
         a = perturb_dataset(ds, spec, cal, RngStream(5, path=(8,)))
         b = perturb_dataset(ds, spec, cal, RngStream(5, path=(8,)))
         c = perturb_dataset(ds, spec, cal, RngStream(5, path=(9,)))
@@ -228,29 +227,30 @@ class TestPerturbExample:
 
     def test_dimension_mismatch_rejected(self):
         # A d = 3 dataset must not be released under a d = 5 calibration.
-        ds, spec = one_row(3)
-        cal = make_calibration(1, linear_regression_loss(dim=5, radius=1.0).constants, 1.0, 1.0)
+        ds, spec = small_cohort(3)
+        cal = calibrate(BUDGET, MIN_N, linear_regression_loss(dim=5, radius=1.0).constants)
         with pytest.raises(ValueError, match="calibration constants"):
             perturb_dataset(ds, spec, cal, RngStream(0))
 
     def test_moments_match_per_coordinate_scale(self):
-        # 1e5 contributors at calibration n=100, quad variance 2: the
-        # released q deviates with per-coordinate variance 2/100 = 0.02.
-        # Contributor i's quadratic noise is the first 3 of its 6 normals
-        # times the scale; rows 0..99 are checked against perturb_dataset.
+        # 1e5 contributors at calibration n=100: the released q deviates
+        # with per-coordinate variance quad_noise_var / 100.  Contributor
+        # i's quadratic noise is the first 3 of its 6 normals times the
+        # scale; rows 0..99 are checked against perturb_dataset.
         spec = linear_regression_loss(dim=3, radius=1.0)
-        cal = make_calibration(100, spec.constants, 2.0, 1.0)
+        cal = calibrate(BUDGET, 100, spec.constants)
         root = RngStream(7, path=(50,))
         scale = cal.quad_noise_sd / math.sqrt(cal.n)
+        per_coordinate = cal.quad_noise_var / cal.n
         draws = root.child_normals(100_000, 6)[:, :3] * scale
         ds = Dataset(features=np.zeros((100, 3)), labels=np.zeros(100))
         _, record = perturb_dataset(ds, spec, cal, root, record_noise=True)
         assert np.array_equal(record.quad_noise, draws[:100])
         max_mean = np.abs(draws.mean(axis=0)).max()
-        assert max_mean == pytest.approx(0.00030905061261935277, rel=1e-9)
-        assert max_mean <= 4.0 * math.sqrt(0.02 / 100_000)
+        assert max_mean == pytest.approx(0.0007923308671034759, rel=1e-9)
+        assert max_mean <= 4.0 * math.sqrt(per_coordinate / 100_000)
         variances = draws.var(axis=0, ddof=1)
-        assert np.all(np.abs(variances / 0.02 - 1.0) <= 0.05)
+        assert np.all(np.abs(variances / per_coordinate - 1.0) <= 0.05)
 
 
 class TestPerturbDataset:
@@ -258,9 +258,9 @@ class TestPerturbDataset:
         # Row i's noise sits at block offset i of the stream, so the
         # release of the permuted dataset, with each example keeping its
         # own offset's draws, is the permuted release.
-        n, d = 6, 2
+        n, d = MIN_N, 2
         spec = linear_regression_loss(dim=d, radius=1.0)
-        cal = make_calibration(n, spec.constants, 1.5, 2.5)
+        cal = calibrate(BUDGET, n, spec.constants)
         gen = np.random.default_rng(17)
         x = gen.normal(size=(n, d))
         x /= np.linalg.norm(x, axis=1, keepdims=True) * 2.0
@@ -268,7 +268,7 @@ class TestPerturbDataset:
         root = RngStream(21, path=(3,))
         released = perturb_dataset(Dataset(features=x, labels=y), spec, cal, root)
         assert len(released) == n
-        perm = np.array([4, 0, 5, 2, 1, 3])
+        perm = gen.permutation(n)
         q, p, s = spec.encode_dataset(Dataset(features=x[perm], labels=y[perm]))
         draws = np.array([philox_row(21, (3,), int(i), 2 * d) for i in perm])
         root_n = math.sqrt(n)
@@ -280,34 +280,26 @@ class TestPerturbDataset:
         # A radius-4 loss needs far more linear noise than a radius-1
         # calibration adds, so the release must be refused.
         spec = linear_regression_loss(dim=2, radius=4.0)
-        cal = make_calibration(5, linear_regression_loss(dim=2, radius=1.0).constants, 1.0, 1.0)
-        ds = Dataset(features=np.zeros((5, 2)), labels=np.zeros(5))
+        cal = calibrate(BUDGET, MIN_N, linear_regression_loss(dim=2, radius=1.0).constants)
+        ds = Dataset(features=np.zeros((MIN_N, 2)), labels=np.zeros(MIN_N))
         with pytest.raises(ValueError, match="calibration constants"):
             perturb_dataset(ds, spec, cal, RngStream(0))
 
     def test_size_mismatch_rejected(self):
         spec = linear_regression_loss(dim=2, radius=1.0)
-        cal = make_calibration(5, spec.constants, 1.0, 1.0)
-        ds = Dataset(features=np.zeros((4, 2)), labels=np.zeros(4))
+        cal = calibrate(BUDGET, MIN_N, spec.constants)
+        ds = Dataset(features=np.zeros((MIN_N - 1, 2)), labels=np.zeros(MIN_N - 1))
         with pytest.raises(ValueError, match="does not match calibration n"):
             perturb_dataset(ds, spec, cal, RngStream(0))
 
     def test_aggregate_variance_and_independence(self):
         # Column sums of the linear noise must have the full calibrated
-        # variance (3.0 per coordinate), and distinct contributors'
-        # draws must be uncorrelated.  1e4 repetitions at n=8, d=2.
-        n, d = 8, 2
+        # variance (linear_noise_var per coordinate), and distinct
+        # contributors' draws must be uncorrelated.  1e4 repetitions at
+        # n=27, d=2.
+        n, d = MIN_N, 2
         spec = linear_regression_loss(dim=d, radius=1.0)
-        cal = NoiseCalibration(
-            n=n,
-            budget=BUDGET,
-            constants=spec.constants,
-            fail_prob=0.005,
-            delta_linear=0.005,
-            tail_ratio=0.1,
-            linear_noise_var=3.0,
-            quad_noise_var=1.0,
-        )
+        cal = calibrate(BUDGET, n, spec.constants)
         ds = Dataset(features=np.zeros((n, d)), labels=np.zeros(n))
         root = RngStream(11, path=(51,))
         reps = 10_000
@@ -320,10 +312,10 @@ class TestPerturbDataset:
             first[rep] = record.quad_noise[0, 0]
             second[rep] = record.quad_noise[1, 0]
         variances = totals.var(axis=0, ddof=1)
-        assert variances == pytest.approx([2.97024867, 3.02911494], rel=1e-7)
-        assert np.all(np.abs(variances / 3.0 - 1.0) <= 0.05)
+        assert variances == pytest.approx([211.7402745309337, 209.36789404477125], rel=1e-7)
+        assert np.all(np.abs(variances / cal.linear_noise_var - 1.0) <= 0.05)
         cov = float(np.cov(first, second, ddof=1)[0, 1])
-        assert cov == pytest.approx(0.001257090956671885, rel=1e-9)
+        assert cov == pytest.approx(56.40895922007515, rel=1e-9)
         assert abs(cov) <= 4.0 * (cal.quad_noise_var / n) / math.sqrt(reps)
 
 

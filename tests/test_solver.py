@@ -20,7 +20,6 @@ from inputdp import (
     Dataset,
     LossConstants,
     ModelVector,
-    NoiseCalibration,
     PrivacyBudget,
     QuadraticProgram,
     Release,
@@ -351,17 +350,7 @@ class TestAssembly:
         gen = np.random.default_rng(15)
         spec = linear_regression_loss(dim=2, radius=1.0)
         ds = random_dataset(gen, 10, 2)
-        zero_cal = NoiseCalibration(
-            n=10,
-            budget=BUDGET,
-            constants=spec.constants,
-            fail_prob=0.005,
-            delta_linear=0.005,
-            tail_ratio=0.1,
-            linear_noise_var=0.0,
-            quad_noise_var=0.0,
-        )
-        released = perturb_dataset(ds, spec, zero_cal, RngStream(0))
+        released = Release(*spec.encode_dataset(ds))
         floor = ridge_floor(spec.constants.smoothness, BUDGET.epsilon)
         prog = assemble_released(released, spec.constants, BUDGET, reg_cap=floor)
         plain = assemble_plain(*spec.encode_dataset(ds), spec.constants.radius)
@@ -415,17 +404,7 @@ class TestAssembly:
             )
         gen = np.random.default_rng(16)
         ds = random_dataset(gen, 5, 2)
-        cal = NoiseCalibration(
-            n=5,
-            budget=BUDGET,
-            constants=spec.constants,
-            fail_prob=0.005,
-            delta_linear=0.005,
-            tail_ratio=0.1,
-            linear_noise_var=0.0,
-            quad_noise_var=0.0,
-        )
-        released = perturb_dataset(ds, spec, cal, RngStream(0))
+        released = Release(*spec.encode_dataset(ds))
         with pytest.raises(ValueError, match="ridge floor"):
             assemble_released(released, spec.constants, BUDGET, reg_cap=1.9)
 
@@ -468,17 +447,7 @@ class TestLearnInputPerturbed:
         gen = np.random.default_rng(22)
         spec = linear_regression_loss(dim=2, radius=1.0)
         ds = random_dataset(gen, 30, 2)
-        cal = NoiseCalibration(
-            n=30,
-            budget=BUDGET,
-            constants=spec.constants,
-            fail_prob=0.005,
-            delta_linear=0.005,
-            tail_ratio=0.1,
-            linear_noise_var=0.0,
-            quad_noise_var=0.0,
-        )
-        released = perturb_dataset(ds, spec, cal, RngStream(1))
+        released = Release(*spec.encode_dataset(ds))
         floor = ridge_floor(spec.constants.smoothness, BUDGET.epsilon)
         w_in = learn_input_perturbed(released, spec.constants, BUDGET, reg_cap=floor)
         w_np = learn_non_private(ds, spec, reg_coeff=0.0)
@@ -487,20 +456,10 @@ class TestLearnInputPerturbed:
     def test_permutation_invariance(self):
         gen = np.random.default_rng(23)
         spec = linear_regression_loss(dim=3, radius=1.0)
-        ds = random_dataset(gen, 20, 3)
-        cal = calibrate(BUDGET, 30, spec.constants)
-        cal = NoiseCalibration(
-            n=20,
-            budget=BUDGET,
-            constants=spec.constants,
-            fail_prob=cal.fail_prob,
-            delta_linear=cal.delta_linear,
-            tail_ratio=cal.tail_ratio,
-            linear_noise_var=cal.linear_noise_var,
-            quad_noise_var=cal.quad_noise_var,
-        )
+        ds = random_dataset(gen, 27, 3)
+        cal = calibrate(BUDGET, 27, spec.constants)
         released = perturb_dataset(ds, spec, cal, RngStream(2))
-        perm = np.random.default_rng(0).permutation(20)
+        perm = np.random.default_rng(0).permutation(27)
         shuffled = Release(Q=released.Q[perm], P=released.P[perm], S=released.S[perm])
         w_a = learn_input_perturbed(released, spec.constants, BUDGET)
         w_b = learn_input_perturbed(shuffled, spec.constants, BUDGET)
@@ -509,18 +468,8 @@ class TestLearnInputPerturbed:
     def test_finite_difference_local_optimality(self):
         gen = np.random.default_rng(24)
         spec = linear_regression_loss(dim=2, radius=1.0)
-        ds = random_dataset(gen, 20, 2)
+        ds = random_dataset(gen, 27, 2)
         cal = calibrate(BUDGET, 27, spec.constants)
-        cal = NoiseCalibration(
-            n=20,
-            budget=BUDGET,
-            constants=spec.constants,
-            fail_prob=cal.fail_prob,
-            delta_linear=cal.delta_linear,
-            tail_ratio=cal.tail_ratio,
-            linear_noise_var=cal.linear_noise_var,
-            quad_noise_var=cal.quad_noise_var,
-        )
         released = perturb_dataset(ds, spec, cal, RngStream(3))
         reg_cap = recommend_reg_cap(spec.constants, BUDGET)
         model = learn_input_perturbed(released, spec.constants, BUDGET, reg_cap=reg_cap)
@@ -619,12 +568,12 @@ class TestModelArtifacts:
         cal = calibrate(BUDGET, 64, spec.constants)
         model = ModelVector(w=np.array([0.25, -0.5, 1.0 / 3.0]), radius=1.0)
         path = tmp_path / "model.json"
-        save_model(path, model, mechanism="input", calibration=cal, seed=7)
+        save_model(path, model, mechanism="input", calibration=cal)
         loaded, payload = load_model(path)
         assert np.array_equal(loaded.w, model.w)
         assert loaded.radius == model.radius
         assert payload["mechanism"] == "input"
-        assert payload["seed"] == 7
+        assert "seed" not in payload
         assert payload["calibration"]["n"] == 64
 
     def test_round_trip_without_calibration(self, tmp_path):
