@@ -31,7 +31,6 @@ from .calibration import (
 from .core import (
     Dataset,
     DomainViolation,
-    Example,
     LossConstants,
     ModelVector,
     PrivacyBudget,

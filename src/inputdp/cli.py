@@ -20,7 +20,7 @@ import sys
 
 from .analysis import run_check_suite
 from .calibration import calibrate, local_dp_level, recommend_reg_cap, scale_budget
-from .core import PrivacyBudget, validate_dataset
+from .core import PrivacyBudget
 from .harness import ExperimentConfig, emit_report, load_csv, run_experiment
 from .loss import make_loss
 from .perturb import RngStream, perturb_dataset, read_perturbed_csv, write_perturbed_csv
@@ -71,10 +71,6 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     dataset, _info = load_csv(
         args.input, args.target, scale=True, label_threshold=args.label_threshold
     )
-    problems = validate_dataset(dataset)
-    if problems:
-        print(f"error: {len(problems)} examples violate the bounded domain", file=sys.stderr)
-        return 1
     spec = make_loss(args.task, args.radius, dataset.dim)
     budget = scale_budget(PrivacyBudget(args.epsilon, args.delta), args.alpha)
     cal = calibrate(budget, len(dataset), spec.constants)

@@ -8,9 +8,11 @@ and solver layers can rely on them instead of re-validating.
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,38 +34,14 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Example:
-    """One contributor's record: features in the unit ball, label in [-1, 1]."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self) -> None:
-        x = _as_float_vector(self.x, "x")
-        y = float(self.y)
-        if not np.isfinite(y):
-            raise ValueError("y must be finite")
-        nrm = float(np.linalg.norm(x))
-        if nrm > 1.0 + BOUND_TOL:
-            raise ValueError(f"||x|| = {nrm:.6g} exceeds the unit-ball domain")
-        if abs(y) > 1.0 + BOUND_TOL:
-            raise ValueError(f"|y| = {abs(y):.6g} exceeds the label bound 1")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
-
-
-@dataclass(frozen=True)
 class Dataset:
     """An ordered collection of examples, stored densely.
 
     ``features`` has shape (n, d) and ``labels`` shape (n,).  Construction
     enforces shape consistency and finiteness only; domain bounds are
-    checked by :func:`validate_dataset` so that slightly out-of-domain data
-    can still be loaded, inspected, and reported on.
+    checked by :func:`validate_dataset`, which ``perturb_dataset`` runs
+    before it adds noise, so out-of-domain data can be loaded and
+    inspected but not released.
     """
 
     features: np.ndarray
@@ -89,28 +67,12 @@ class Dataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
 
-    @classmethod
-    def from_examples(cls, examples: Iterable[Example]) -> "Dataset":
-        examples = list(examples)
-        if not examples:
-            raise ValueError("dataset must contain at least one example")
-        dims = {ex.dim for ex in examples}
-        if len(dims) != 1:
-            raise ValueError(f"examples have inconsistent dimensions: {sorted(dims)}")
-        return cls(
-            features=np.stack([ex.x for ex in examples]),
-            labels=np.array([ex.y for ex in examples]),
-        )
-
     @property
     def dim(self) -> int:
         return self.features.shape[1]
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, index: int) -> Example:
-        return Example(x=self.features[index], y=float(self.labels[index]))
 
     def subset(self, indices: Sequence[int] | np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
@@ -179,8 +141,16 @@ class ModelVector:
     radius: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        radius = float(self.radius)
+        if not (radius > 0 and math.isfinite(2.0 * radius * radius)):
+            # Near sqrt(max float) the squares of a point on the sphere
+            # overflow, the summation-order check below reads inf and w
+            # shrinks to 0; twice the squared radius leaves room for the
+            # rounding of every order.
+            raise ValueError(
+                f"radius must be positive with 2 radius^2 finite (at most about "
+                f"9.48e153), got {self.radius!r}"
+            )
         w = _as_float_vector(self.w, "w")
         # A single rescale can leave the recomputed norm a few ulps above
         # the radius, so rescale until every summation order reads at most
@@ -193,18 +163,18 @@ class ModelVector:
             # The squares overflow, and radius / inf would send w to 0:
             # take the norm of w / max|w_i| instead, keeping w's direction.
             peak = float(np.max(np.abs(w)))
-            w = w * min(self.radius / peak / float(np.linalg.norm(w / peak)), 1.0)
+            w = w * min(radius / peak / float(np.linalg.norm(w / peak)), 1.0)
             w.flags.writeable = False
             nrm = float(np.linalg.norm(w))
-        while _norm_any_order(w) > self.radius:
-            scaled = np.array(w * min(self.radius / nrm, 1.0))
+        while _norm_any_order(w) > radius:
+            scaled = np.array(w * min(radius / nrm, 1.0))
             if np.array_equal(scaled, w):
                 scaled = np.nextafter(w, 0.0)
             scaled.flags.writeable = False
             w = scaled
             nrm = float(np.linalg.norm(w))
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def dim(self) -> int:
@@ -255,3 +225,28 @@ def validate_dataset(dataset: Dataset) -> list[DomainViolation]:
         )
     violations.sort(key=lambda v: (v.index, v.kind))
     return violations
+
+
+def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
+    """The header of a numeric CSV file and its data rows as a float64
+    array of shape (rows, len(header)).
+
+    Every data row must have as many fields as the header, each a float
+    literal; errors name ``path:line``.  A file without a header or
+    without a data row is refused.
+    """
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        width = len(header)
+        values = array("d")
+        for line_no, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise ValueError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
+            try:
+                values.extend(map(float, row))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: non-numeric value ({exc})") from None
+    if not values:
+        raise ValueError(f"{path}: need a header row and at least one data row")
+    return header, np.frombuffer(values, dtype=np.float64).reshape(-1, width)

@@ -18,12 +18,10 @@ counts without biasing any per-mechanism mean (common random numbers).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +35,7 @@ from .calibration import (
     recommend_reg_cap,
     scale_budget,
 )
-from .core import Dataset, PrivacyBudget
+from .core import Dataset, PrivacyBudget, _read_csv_table
 from .loss import LOSS_FAMILIES, LossSpec, empirical_objective, make_loss, predict
 from .perturb import RngStream, perturb_dataset
 from .solver import (
@@ -237,25 +235,13 @@ def load_csv(
     the threshold (> threshold means +1) and no label scaling applies.
     Returns the dataset and the applied scaling parameters.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need a header row and at least one data row")
-    header = rows[0]
+    header, raw = _read_csv_table(path)
     if target_column not in header:
         raise ValueError(f"{path}: no column named {target_column!r} in {header}")
     target_idx = header.index(target_column)
     feature_names = [name for i, name in enumerate(header) if i != target_idx]
     if not feature_names:
         raise ValueError(f"{path}: no feature columns besides the target")
-    raw = np.empty((len(rows) - 1, len(header)))
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
-        try:
-            raw[line_no - 2] = [float(v) for v in row]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: non-numeric value ({exc})") from None
     features = np.delete(raw, target_idx, axis=1)
     target = raw[:, target_idx]
 

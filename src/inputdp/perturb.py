@@ -20,16 +20,13 @@ noise first, then linear noise.
 
 from __future__ import annotations
 
-import csv
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .calibration import NoiseCalibration, gaussian_noise_constant
-from .core import Dataset, PrivacyBudget
+from .core import Dataset, PrivacyBudget, _read_csv_table, validate_dataset
 from .loss import LossSpec
 
 # Contributors whose words are drawn and transformed per batch, and rows
@@ -185,7 +182,10 @@ def perturb_dataset(
     noise from columns [0, d), linear noise from [d, 2d).  Row i depends
     only on i, so permuting examples together with their rows permutes
     the output identically.  The calibration must be for this dataset's
-    size and this loss's constants.  With ``record_noise`` also returns
+    size and this loss's constants, and every example must lie in the
+    bounded domain the noise is calibrated for (||x|| <= 1, |y| <= 1);
+    otherwise nothing is released and the ``ValueError`` names the number
+    of violations and the first one.  With ``record_noise`` also returns
     the :class:`NoiseRecord` (testing only).
     """
     if len(dataset) != cal.n:
@@ -196,6 +196,13 @@ def perturb_dataset(
         raise ValueError(
             f"calibration constants {cal.constants} do not match the loss's "
             f"{spec.constants}"
+        )
+    violations = validate_dataset(dataset)
+    if violations:
+        first = violations[0]
+        raise ValueError(
+            f"{len(violations)} bounded-domain violations (need ||x|| <= 1 and "
+            f"|y| <= 1); first: example {first.index}, {first.kind} = {first.value:.6g}"
         )
     q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
     n, dim = q_stats.shape
@@ -269,23 +276,10 @@ def write_perturbed_csv(path, released: Release) -> None:
 
 def read_perturbed_csv(path) -> Release:
     """Read back a file written by :func:`write_perturbed_csv`."""
-    with open(path, newline="") as fh:
-        rows: Iterator[list[str]] = iter(csv.reader(fh))
-        try:
-            header = next(rows)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if len(header) < 3 or header[-1] != "s" or (len(header) - 1) % 2 != 0:
-            raise ValueError(f"{path}: not a perturbed-statistics CSV (header {header[:4]}...)")
-        dim = (len(header) - 1) // 2
-        if header != _csv_header(dim):
-            raise ValueError(f"{path}: unexpected column names for dim {dim}")
-        values = array("d")
-        for line_no, row in enumerate(rows, start=2):
-            if len(row) != 2 * dim + 1:
-                raise ValueError(f"{path}:{line_no}: expected {2 * dim + 1} fields, got {len(row)}")
-            values.extend(map(float, row))
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    table = np.frombuffer(values, dtype=np.float64).reshape(-1, 2 * dim + 1)
+    header, table = _read_csv_table(path)
+    if len(header) < 3 or header[-1] != "s" or (len(header) - 1) % 2 != 0:
+        raise ValueError(f"{path}: not a perturbed-statistics CSV (header {header[:4]}...)")
+    dim = (len(header) - 1) // 2
+    if header != _csv_header(dim):
+        raise ValueError(f"{path}: unexpected column names for dim {dim}")
     return Release(Q=table[:, :dim], P=table[:, dim : 2 * dim], S=table[:, -1])

@@ -1,4 +1,4 @@
-"""Domain types: examples, datasets, ball projection, domain validation."""
+"""Domain types: datasets, ball projection, domain validation."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inputdp
-from inputdp import Dataset, Example, LossConstants, ModelVector, PrivacyBudget
+from inputdp import Dataset, LossConstants, ModelVector, PrivacyBudget
 
 
 class TestProjectToBall:
@@ -86,28 +86,33 @@ class TestModelVector:
         with pytest.raises(ValueError):
             ModelVector(w=np.array([0.0]), radius=0.0)
 
+    @pytest.mark.parametrize("radius", [1e300, 1e155, 9.49e153, math.inf, math.nan])
+    def test_rejects_radius_whose_square_overflows(self, radius):
+        # Past about 9.48e153 the squares of a point on the sphere can
+        # overflow, and the summation-order check would send [1e200, 0]
+        # or [1e160, 1e160] to the zero vector.
+        for w in ([1e200, 0.0], [1e160, 1e160]):
+            with pytest.raises(ValueError, match="finite"):
+                inputdp.project_to_ball(np.array(w), radius)
 
-class TestExampleValidation:
-    def test_accepts_inside_bounds(self):
-        Example(x=np.array([0.6, 0.8]), y=1.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Example(x=np.array([np.nan, 0.0]), y=0.0)
-        with pytest.raises(ValueError):
-            Example(x=np.array([0.0]), y=np.inf)
-
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            Example(x=np.array([1.2, 0.0]), y=0.0)
-        with pytest.raises(ValueError):
-            Example(x=np.array([0.5]), y=1.5)
+    @pytest.mark.parametrize("radius", [9.48e153, 1e150])
+    def test_largest_radii_keep_the_sphere(self, radius):
+        for w in ([1e200, 0.0], [1e160, 1e160], [radius / math.sqrt(3)] * 3):
+            once = inputdp.project_to_ball(np.array(w), radius).w
+            assert math.sqrt(math.fsum(v * v for v in once.tolist())) <= radius
+            assert float(np.linalg.norm(once)) == pytest.approx(radius, rel=1e-12)
 
 
 class TestDatasetValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((3, 2)), labels=np.zeros(4))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(features=np.array([[np.nan, 0.0]]), labels=np.zeros(1))
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(features=np.zeros((1, 1)), labels=np.array([np.inf]))
 
     def test_validate_dataset_all_zero_is_clean(self):
         ds = Dataset(features=np.zeros((5, 3)), labels=np.zeros(5))
@@ -142,8 +147,6 @@ class TestDatasetValidation:
         sub = ds.subset(np.array([4, 1]))
         assert np.array_equal(sub.features[0], features[4])
         assert len(sub) == 2
-        ex = ds[2]
-        assert np.array_equal(ex.x, features[2])
 
     def test_arrays_read_only(self):
         ds = Dataset(features=np.zeros((2, 2)), labels=np.zeros(2))

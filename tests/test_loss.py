@@ -14,7 +14,6 @@ import pytest
 
 from inputdp import (
     Dataset,
-    Example,
     empirical_objective,
     linear_regression_loss,
     logistic_quadratic_loss,
@@ -23,18 +22,8 @@ from inputdp import (
 )
 
 
-def _random_valid_pair(gen, dim, classification=False):
-    x = gen.standard_normal(dim)
-    x *= gen.uniform(0, 1) / max(1.0, np.linalg.norm(x))
-    if classification:
-        y = 1.0 if gen.uniform() < 0.5 else -1.0
-    else:
-        y = float(gen.uniform(-1, 1))
-    return Example(x=x, y=y)
-
-
 def _random_rows(gen, n, dim, scale=1.0):
-    """n rows drawn as in _random_valid_pair: inside the ball of ``scale``."""
+    """n rows inside the ball of ``scale``."""
     rows = gen.standard_normal((n, dim))
     rows *= scale * gen.uniform(0, 1, size=(n, 1)) / np.maximum(
         1.0, np.linalg.norm(rows, axis=1, keepdims=True)
@@ -51,9 +40,8 @@ def _random_dataset(gen, n, dim, classification=False):
     return Dataset(features=features, labels=labels)
 
 
-def _hand_stats(example, family):
-    """Per-example statistics written out from the loss formulas."""
-    x, y = example.x, example.y
+def _hand_stats(x, y, family):
+    """One example's statistics written out from the loss formulas."""
     if family == "linear_regression":
         return x, y * x, y**2 / 2.0
     return x / 2.0, (y / 2.0) * x, math.log(2.0)
@@ -143,13 +131,12 @@ class TestEmpiricalObjective:
 
     def test_matches_term_by_term_sum(self):
         gen = np.random.default_rng(15)
-        examples = [_random_valid_pair(gen, 3) for _ in range(10)]
-        ds = Dataset.from_examples(examples)
+        ds = _random_dataset(gen, 10, 3)
         spec = linear_regression_loss(radius=1.0, dim=3)
         w = gen.standard_normal(3) * 0.5
         reg = 0.7
         by_hand = (
-            sum(0.5 * (w @ ex.x - ex.y) ** 2 for ex in examples) / 10
+            sum(0.5 * (w @ x - y) ** 2 for x, y in zip(ds.features, ds.labels)) / 10
             + reg / (2 * 10) * float(w @ w)
         )
         assert empirical_objective(ds, spec, w, reg_coeff=reg) == pytest.approx(
@@ -223,11 +210,10 @@ class TestFactoryAndPredict:
     def test_encode_dataset_matches_per_example_encoders(self):
         gen = np.random.default_rng(18)
         for family in ("linear_regression", "logistic"):
-            examples = [_random_valid_pair(gen, 3, family == "logistic") for _ in range(7)]
-            ds = Dataset.from_examples(examples)
+            ds = _random_dataset(gen, 7, 3, family == "logistic")
             q_all, p_all, s_all = make_loss(family, radius=1.0, dim=3).encode_dataset(ds)
-            for i, ex in enumerate(examples):
-                q, p, s = _hand_stats(ex, family)
+            for i, (x, y) in enumerate(zip(ds.features, ds.labels)):
+                q, p, s = _hand_stats(x, float(y), family)
                 assert np.array_equal(q_all[i], q)
                 assert np.array_equal(p_all[i], p)
                 assert s_all[i] == s

@@ -13,9 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inputdp import (
     CalibrationInfeasibleError,
@@ -188,7 +191,7 @@ def small_cohort(dim):
     return Dataset(features=x, labels=labels), linear_regression_loss(dim=dim, radius=1.0)
 
 
-class TestPerturbExample:
+class TestPerturbContributorRows:
     """Per-contributor rows: perturb_dataset on the smallest feasible cohort."""
 
     def test_raw_release_cannot_be_requested(self):
@@ -291,6 +294,35 @@ class TestPerturbDataset:
         ds = Dataset(features=np.zeros((MIN_N - 1, 2)), labels=np.zeros(MIN_N - 1))
         with pytest.raises(ValueError, match="does not match calibration n"):
             perturb_dataset(ds, spec, cal, RngStream(0))
+
+    def test_out_of_domain_rows_refused(self):
+        # The noise is calibrated for ||x|| <= 1 and |y| <= 1, so a row
+        # outside that domain must not be released under it.
+        spec = linear_regression_loss(dim=2, radius=1.0)
+        cal = calibrate(BUDGET, MIN_N, spec.constants)
+        features = np.zeros((MIN_N, 2))
+        features[4] = [0.6, 0.9]
+        features[9] = [3.0, 4.0]
+        ds = Dataset(features=features, labels=np.zeros(MIN_N))
+        with pytest.raises(ValueError, match=r"^2 bounded-domain violations .*first: example 4, "
+                           r"feature_norm = 1\.08167$"):
+            perturb_dataset(ds, spec, cal, RngStream(0))
+        labels = np.zeros(MIN_N)
+        labels[7] = -1.5
+        ds = Dataset(features=np.zeros((MIN_N, 2)), labels=labels)
+        with pytest.raises(ValueError, match=r"^1 bounded-domain violations .*first: example 7, "
+                           r"label_bound = -1\.5$"):
+            perturb_dataset(ds, spec, cal, RngStream(0))
+
+    def test_domain_boundary_released(self):
+        # Rows on the unit sphere with labels of modulus 1 are in the domain.
+        spec = linear_regression_loss(dim=2, radius=1.0)
+        cal = calibrate(BUDGET, MIN_N, spec.constants)
+        angles = np.linspace(0.0, 2.0 * math.pi, MIN_N, endpoint=False)
+        features = np.column_stack([np.cos(angles), np.sin(angles)])
+        labels = np.where(np.arange(MIN_N) % 2 == 0, 1.0, -1.0)
+        released = perturb_dataset(Dataset(features, labels), spec, cal, RngStream(0))
+        assert len(released) == MIN_N
 
     def test_aggregate_variance_and_independence(self):
         # Column sums of the linear noise must have the full calibrated
@@ -398,10 +430,32 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="must be"):
             Release(Q=np.zeros((2, 2)), P=np.zeros((2, 3)), S=np.zeros(2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                               1.7976931348623157e308, -1.7976931348623157e308]),
+            min_size=3,
+            max_size=30,
+        ),
+        st.integers(1, 3),
+    )
+    def test_round_trip_bit_exact_for_any_finite_float(self, tmp_path_factory, values, dim):
+        width = 2 * dim + 1
+        rows = -(-len(values) // width)
+        table = np.resize(np.array(values, dtype=np.float64), (rows, width))
+        released = Release(Q=table[:, :dim], P=table[:, dim:-1], S=table[:, -1])
+        path = tmp_path_factory.mktemp("round_trip") / "released.csv"
+        write_perturbed_csv(path, released)
+        back = read_perturbed_csv(path)
+        for before, after in ((released.Q, back.Q), (released.P, back.P), (released.S, back.S)):
+            assert np.array_equal(after.view(np.uint64), before.view(np.uint64))
+
     def test_read_rejects_malformed_files(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        with pytest.raises(ValueError, match="empty file"):
+        with pytest.raises(ValueError, match="need a header row and at least one data row"):
             read_perturbed_csv(empty)
 
         bad_header = tmp_path / "bad.csv"
@@ -416,5 +470,17 @@ class TestCsvRoundTrip:
 
         header_only = tmp_path / "header_only.csv"
         header_only.write_text("q_0,q_1,p_0,p_1,s\n")
-        with pytest.raises(ValueError, match="no data rows"):
+        with pytest.raises(ValueError, match="need a header row and at least one data row"):
             read_perturbed_csv(header_only)
+
+        # A header of only s would otherwise read as a d = 0 release.
+        no_dim = tmp_path / "no_dim.csv"
+        no_dim.write_text("s\n1.0\n")
+        with pytest.raises(ValueError, match="not a perturbed-statistics CSV"):
+            read_perturbed_csv(no_dim)
+
+    def test_read_names_line_of_non_numeric_field(self, tmp_path):
+        path = tmp_path / "typo.csv"
+        path.write_text("q_0,p_0,s\n1.0,2.0,3.0\n1.0,x2.0,3.0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: non-numeric value"):
+            read_perturbed_csv(path)
