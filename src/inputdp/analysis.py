@@ -10,8 +10,9 @@ numerically rather than trust them:
   ridge's exact law (a shifted, scaled noncentral chi-square) rather
   than from full noise matrices; :func:`sample_noise_ridge` keeps the
   full-matrix draw as the reference;
-* frequency checks of the chi-square and Gaussian tail bounds the
-  calibration leans on;
+* exact checks of the chi-square and Gaussian tail bounds the
+  calibration leans on, with the tail probabilities from the regularized
+  incomplete gamma function and ``math.erfc``;
 * a from-first-principles 1-D verifier of the Gaussian mechanism's
   (epsilon, delta) claim over threshold events, with the normal CDF
   taken from ``math.erfc`` (the package needs only NumPy);
@@ -253,35 +254,95 @@ def noise_ridge_coverage(
     return CoverageReport.from_hits(hits=hits, trials=trials, target=1.0 - fail_prob)
 
 
-def tail_check_chi_square(
-    dof: int, t: float, trials: int, rng: RngStream
-) -> tuple[float, float]:
-    """Observed frequencies of the two chi-square tail events.
+def _log_gamma_density(a: float, y: float) -> float:
+    """log(y^a e^-y / Gamma(a)) for a, y > 0.
 
-    Upper event: Z - dof >= 2 sqrt(dof * t) + 2 t; lower event:
-    dof - Z >= 2 sqrt(dof * t).  Each is claimed to occur with
-    probability at most e^-t.
+    At a >= 10 the three terms of a log y - y - lgamma(a) each reach
+    about a log a and cancel to O(log a), which would cost the result
+    about a log a ulps of relative accuracy (1e-10 at a = 5e4).  So the
+    large-a form is a (log1p(d) - d) + log(a / 2 pi) / 2 minus the
+    Stirling remainder of lgamma(a), with d = (y - a) / a.
     """
-    if dof < 1:
+    if a < 10.0:
+        return a * math.log(y) - y - math.lgamma(a)
+    d = (y - a) / a  # far below a, 1 + d would lose the low bits of y
+    core = a * (math.log1p(d) - d) if d > -0.5 else a * math.log(y / a) - (y - a)
+    inv, inv2 = 1.0 / a, 1.0 / (a * a)
+    stirling = inv * (
+        1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 * (
+            1.0 / 1680.0 - inv2 * (1.0 / 1188.0 - inv2 * 691.0 / 360360.0))))
+    )
+    return core + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
+
+
+def _gamma_p_q(a: float, y: float) -> tuple[float, float]:
+    """Regularized incomplete gamma functions (P(a, y), Q(a, y)), P + Q = 1.
+
+    Below y = a + 1 the power series gives P and Q = 1 - P; above it the
+    Lentz continued fraction gives Q and P = 1 - Q (Press et al.,
+    Numerical Recipes, section 6.2).  Either way the small one is
+    computed directly, so it keeps its relative accuracy deep in the tail.
+    """
+    if y <= 0.0:
+        return 0.0, 1.0
+    if y == math.inf:
+        return 1.0, 0.0
+    if y < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        while abs(term) > 1e-17 * total:
+            ap += 1.0
+            term *= y / ap
+            total += term
+        p = total * math.exp(_log_gamma_density(a, y))
+        return p, 1.0 - p
+    tiny = 1e-300
+    b = y + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) <= 2.2e-16:
+            break
+    q = h * math.exp(_log_gamma_density(a, y))
+    return 1.0 - q, q
+
+
+def tail_check_chi_square(dof: int, t: float) -> tuple[float, float]:
+    """Exact probabilities of the two chi-square tail events.
+
+    For Z chi-square with ``dof`` degrees of freedom, the upper event is
+    Z >= dof + 2 sqrt(dof t) + 2 t, with probability Q(dof/2, x/2) at its
+    threshold x, and the lower event Z <= dof - 2 sqrt(dof t), with
+    probability P(dof/2, x/2) (0 when that threshold is <= 0).  Laurent
+    and Massart (Ann. Statist. 2000) bound each by e^-t.
+    """
+    if not dof >= 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"t must be > 0, got {t!r}")
-    draws = rng.generator().chisquare(dof, size=trials)
-    upper = float(np.mean(draws - dof >= 2.0 * math.sqrt(dof * t) + 2.0 * t))
-    lower = float(np.mean(dof - draws >= 2.0 * math.sqrt(dof * t)))
+    spread = 2.0 * math.sqrt(dof * t)
+    upper = _gamma_p_q(dof / 2.0, (dof + spread + 2.0 * t) / 2.0)[1]
+    lower = _gamma_p_q(dof / 2.0, (dof - spread) / 2.0)[0]
     return upper, lower
 
 
-def tail_check_gaussian(t: float, trials: int, rng: RngStream) -> float:
-    """Observed frequency of |Z| > t for standard normal Z.
+def tail_check_gaussian(t: float) -> float:
+    """Exact probability erfc(t / sqrt 2) of |Z| > t for standard normal Z.
 
     The bound e^{-t^2/2} being checked is only valid for t > 1, so
     smaller thresholds are rejected.
     """
-    if t <= 1.0:
+    if not t > 1.0:
         raise ValueError(f"the two-sided Gaussian tail bound needs t > 1, got {t!r}")
-    draws = rng.generator().standard_normal(trials)
-    return float(np.mean(np.abs(draws) > t))
+    return math.erfc(t / math.sqrt(2.0))
 
 
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -414,8 +475,10 @@ def run_check_suite(seed: int = 0) -> list[dict]:
     """Run the full numerical verification battery.
 
     Returns one serializable record per check: the observed statistic,
-    the bound it is held to, and whether it passed.  Monte-Carlo checks
-    use three-standard-error allowances on their claimed probabilities.
+    the bound it is held to, and whether it passed.  The two noise-ridge
+    coverage checks are Monte Carlo and use three-standard-error
+    allowances on their claimed probabilities; the tail checks compare
+    exact probabilities with their bounds.
     """
     root = RngStream(seed, path=(90,))
     checks: list[dict] = []
@@ -456,31 +519,26 @@ def run_check_suite(seed: int = 0) -> list[dict]:
         )
     )
 
-    # Tail-bound frequency checks.
-    tail_trials = 200_000
-    for i, (dof, t) in enumerate([(100, 3.0), (1, 0.1), (50, 10.0)]):
-        upper, lower = tail_check_chi_square(dof, t, tail_trials, root.child(10, i))
-        bound = math.exp(-t)
-        for side, freq in (("upper", upper), ("lower", lower)):
-            se = math.sqrt(max(freq * (1 - freq), 1.0 / tail_trials) / tail_trials)
+    # Exact tail probabilities against the bounds the calibration uses.
+    for dof, t in [(100, 3.0), (1, 0.1), (50, 10.0)]:
+        upper, lower = tail_check_chi_square(dof, t)
+        for side, prob in (("upper", upper), ("lower", lower)):
             checks.append(
                 _check(
                     f"chi_square_tail_{side}",
-                    {"dof": dof, "t": t, "trials": tail_trials},
-                    freq,
-                    bound + 3.0 * se,
+                    {"dof": dof, "t": t},
+                    prob,
+                    math.exp(-t),
                     "<=",
                 )
             )
-    for i, t in enumerate([1.25, 2.0, 3.0]):
-        freq = tail_check_gaussian(t, tail_trials, root.child(11, i))
-        se = math.sqrt(max(freq * (1 - freq), 1.0 / tail_trials) / tail_trials)
+    for t in [1.25, 2.0, 3.0]:
         checks.append(
             _check(
                 "gaussian_tail",
-                {"t": t, "trials": tail_trials},
-                freq,
-                math.exp(-(t**2) / 2.0) + 3.0 * se,
+                {"t": t},
+                tail_check_gaussian(t),
+                math.exp(-(t**2) / 2.0),
                 "<=",
             )
         )

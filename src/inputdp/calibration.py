@@ -80,7 +80,13 @@ def linear_noise_variance(budget: PrivacyBudget, lipschitz: float) -> float:
     """
     delta_linear = budget.delta / 2.0
     eps = budget.epsilon
-    return lipschitz**2 * (8.0 * math.log(2.0 / delta_linear) + 4.0 * eps) / eps**2
+    log_term = 8.0 * math.log(2.0 / delta_linear)
+    if 1e-100 <= min(lipschitz, eps) and max(lipschitz, eps) <= 1e100:
+        return lipschitz**2 * (log_term + 4.0 * eps) / eps**2
+    # Outside that range a square could overflow (float ** raises) or
+    # underflow; the ratio form saturates to inf or 0 instead.
+    ratio = lipschitz / eps
+    return ratio * (ratio * log_term + 4.0 * lipschitz)
 
 
 def min_feasible_n(fail_prob: float) -> int:
@@ -173,7 +179,8 @@ class NoiseCalibration:
     quadratic-noise variance is the threshold variance inflated by
     :data:`CALIBRATION_SLACK`, which keeps the noise ridge *strictly*
     above the floor on the good event.  Raises
-    :class:`CalibrationInfeasibleError` when n is too small.
+    :class:`CalibrationInfeasibleError` when n is too small, and
+    ValueError when a variance is not a finite float.
     """
 
     n: int
@@ -187,17 +194,29 @@ class NoiseCalibration:
 
     def __post_init__(self) -> None:
         fail_prob = self.budget.delta / 2.0
-        threshold = quad_noise_threshold(
-            self.n, fail_prob, self.constants.dim, self.constants.smoothness,
-            self.budget.epsilon,
-        )
+        try:
+            threshold = quad_noise_threshold(
+                self.n, fail_prob, self.constants.dim, self.constants.smoothness,
+                self.budget.epsilon,
+            )
+            quad_noise_var = CALIBRATION_SLACK * threshold**2
+        except OverflowError:
+            quad_noise_var = math.inf
         derived = {
             "fail_prob": fail_prob,
             "delta_linear": self.budget.delta / 2.0,
             "tail_ratio": math.sqrt(math.log(2.0 / fail_prob) / self.n),
             "linear_noise_var": linear_noise_variance(self.budget, self.constants.lipschitz),
-            "quad_noise_var": CALIBRATION_SLACK * threshold**2,
+            "quad_noise_var": quad_noise_var,
         }
+        for name in ("linear_noise_var", "quad_noise_var"):
+            if not math.isfinite(derived[name]):
+                raise ValueError(
+                    f"{name} is {derived[name]!r} at lipschitz = "
+                    f"{self.constants.lipschitz!r}, smoothness = "
+                    f"{self.constants.smoothness!r} and epsilon = {self.budget.epsilon!r}; "
+                    "a noise variance must be a finite float"
+                )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 

@@ -13,6 +13,8 @@ evidence, not circularity:
   (coarse global sweep + fine local grid + sphere projections).
 * ``gaussian_delta_closed_form`` — the optimal-threshold privacy deficit
   of the 1-D Gaussian mechanism in closed form.
+* ``chi_square_tails`` — both tails of the chi-square law, from SciPy's
+  incomplete gamma functions.
 * ``draw_noise_ridge_samples`` — noise-ridge draws from n-vectors of
   plain normals, for comparison with the library's exact-law sampler.
 * ``box_muller_normals`` — the contributor-stream transform from raw
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import chdtr, chdtrc, ndtr
 
 
 def quadratic_objective(A: np.ndarray, b: np.ndarray, reg: float, w: np.ndarray) -> float:
@@ -226,6 +228,11 @@ def gaussian_delta_closed_form(sigma: float, epsilon: float, diameter: float) ->
     upper_tail = 1.0 - ndtr(ratio - half)
     shifted_tail = 1.0 - ndtr(ratio + half)
     return float(upper_tail - math.exp(epsilon) * shifted_tail)
+
+
+def chi_square_tails(dof: int, x: float) -> tuple[float, float]:
+    """P(Z <= x) and P(Z > x) for chi-square Z with ``dof`` degrees of freedom."""
+    return float(chdtr(dof, x)), float(chdtrc(dof, x))
 
 
 def draw_noise_ridge_samples(

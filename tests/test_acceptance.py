@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from inputdp import (
     ExperimentConfig,
@@ -39,7 +40,12 @@ from inputdp import (
 )
 from inputdp.harness import generate_synthetic
 from tests.conftest import FLAGSHIP_N_GRID
-from tests._oracles import grid_minimum, random_ball_instance, trust_region_solve
+from tests._oracles import (
+    chi_square_tails,
+    grid_minimum,
+    random_ball_instance,
+    trust_region_solve,
+)
 
 SEED = 20260815
 
@@ -149,31 +155,32 @@ def test_criterion_5_gaussian_verifier(capsys):
 
 
 def test_criterion_6_tail_bound_suites(capsys):
-    trials = 200_000
+    # Exact tail probabilities, each held to its textbook bound and to
+    # SciPy's incomplete gamma / normal CDF within 1e-12 relative.
     failures = []
-    worst_margin = -math.inf
-    for i, (dof, t) in enumerate([(100, 3.0), (1, 0.1), (50, 10.0)]):
-        upper, lower = tail_check_chi_square(
-            dof, t, trials, RngStream(SEED, path=(60, i))
-        )
-        bound = math.exp(-t)
-        for side, freq in (("upper", upper), ("lower", lower)):
-            se = math.sqrt(max(freq * (1.0 - freq), 1.0 / trials) / trials)
-            worst_margin = max(worst_margin, freq - (bound + 3.0 * se))
-            if freq > bound + 3.0 * se:
-                failures.append(f"chi2 {side} dof={dof} t={t}: {freq:.5f} > {bound:.5f}+3se")
-    for i, t in enumerate([1.25, 2.0, 3.0]):
-        freq = tail_check_gaussian(t, trials, RngStream(SEED, path=(61, i)))
-        bound = math.exp(-(t**2) / 2.0)
-        se = math.sqrt(max(freq * (1.0 - freq), 1.0 / trials) / trials)
-        worst_margin = max(worst_margin, freq - (bound + 3.0 * se))
-        if freq > bound + 3.0 * se:
-            failures.append(f"gauss t={t}: {freq:.5f} > {bound:.5f}+3se")
+    worst_ratio = 0.0
+    events = []
+    for dof, t in [(100, 3.0), (1, 0.1), (50, 10.0)]:
+        upper, lower = tail_check_chi_square(dof, t)
+        spread = 2.0 * math.sqrt(dof * t)
+        events.append((f"chi2 upper dof={dof} t={t}", upper, math.exp(-t),
+                       chi_square_tails(dof, dof + spread + 2.0 * t)[1]))
+        events.append((f"chi2 lower dof={dof} t={t}", lower, math.exp(-t),
+                       chi_square_tails(dof, dof - spread)[0]))
+    for t in [1.25, 2.0, 3.0]:
+        events.append((f"gauss t={t}", tail_check_gaussian(t), math.exp(-(t**2) / 2.0),
+                       2.0 * float(ndtr(-t))))
+    for label, prob, bound, oracle in events:
+        worst_ratio = max(worst_ratio, prob / bound)
+        if prob > bound:
+            failures.append(f"{label}: {prob:.4g} > bound {bound:.4g}")
+        if abs(prob - oracle) > 1e-12 * oracle:
+            failures.append(f"{label}: {prob!r} != oracle {oracle!r}")
     ok = not failures
     _verdict(
         capsys, 6, "tail-bound suites",
         ok,
-        f"9 frequencies within bounds+3se (worst margin {worst_margin:.2e})"
+        f"9 exact probabilities within their bounds (worst ratio {worst_ratio:.3f})"
         if ok else "; ".join(failures),
     )
 

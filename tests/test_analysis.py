@@ -1,8 +1,9 @@
 """Risk metrics, concentration checks, and the Gaussian-mechanism verifier.
 
 The verifier is checked against a closed-form deficit computed in
-tests/_oracles.py from Gaussian CDFs alone; Monte-Carlo frequencies are
-frozen from pinned-seed runs.  The exact-law noise-ridge draws are tied
+tests/_oracles.py from Gaussian CDFs alone, and the exact tail
+probabilities against SciPy's incomplete gamma and normal CDF;
+Monte-Carlo frequencies are frozen from pinned-seed runs.  The exact-law noise-ridge draws are tied
 to the full-matrix reference by their moments and a two-sample KS test.
 """
 
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import ks_2samp
 
@@ -44,8 +47,12 @@ from inputdp import (
     tail_check_gaussian,
     worst_case_quad_stats,
 )
-from inputdp.analysis import _noise_ridge_samples, _normal_cdf
-from tests._oracles import draw_noise_ridge_samples, gaussian_delta_closed_form
+from inputdp.analysis import _check, _gamma_p_q, _noise_ridge_samples, _normal_cdf
+from tests._oracles import (
+    chi_square_tails,
+    draw_noise_ridge_samples,
+    gaussian_delta_closed_form,
+)
 
 BUDGET = PrivacyBudget(epsilon=1.0, delta=0.01)
 
@@ -336,48 +343,114 @@ class TestNoiseRidgeCoverage:
         assert report.frequency == 1.0
 
 
+# The suite's (dof, t) pairs, and the degrees of freedom the exact tails
+# are held to SciPy's at.
+SUITE_CHI_SQUARE = [(100, 3.0), (1, 0.1), (50, 10.0)]
+ORACLE_DOFS = [1, 2, 3, 14, 50, 100, 1001, 10**5]
+
+
+def _chi_square_spread(dof: int) -> list[float]:
+    """Points from deep in the lower tail to deep in the upper tail."""
+    sd = math.sqrt(2.0 * dof)
+    around_mean = [dof + z * sd for z in (-6, -3, -1, -0.1, 0, 0.1, 1, 3, 6, 10)]
+    scaled = [dof * f for f in (1e-3, 0.1, 0.5, 0.9, 1.1, 2.0, 5.0)]
+    return sorted(x for x in around_mean + scaled + [dof / 2.0 + 1e-9, dof + 2.0] if x > 0)
+
+
 class TestTailChecks:
-    def test_chi_square_frozen_frequencies(self):
-        upper, lower = tail_check_chi_square(100, 3.0, 100_000, RngStream(3, path=(53,)))
-        assert (upper, lower) == (0.0048, 0.00287)
-        bound = math.exp(-3.0)
-        allowance = 3.0 * math.sqrt(bound * (1 - bound) / 100_000)
-        assert upper <= bound + allowance
-        assert lower <= bound + allowance
+    def test_chi_square_frozen_suite_points(self):
+        # The (dof, t) pairs run_check_suite reports, exact and below e^-t.
+        expected = {
+            (100, 3.0): (0.004627475738580627, 0.0028936185849778467),
+            (1, 0.1): (0.17583778543119877, 0.4556542047108415),
+            (50, 10.0): (5.364421128882494e-07, 1.7648193430410458e-16),
+        }
+        for dof, t in SUITE_CHI_SQUARE:
+            upper, lower = tail_check_chi_square(dof, t)
+            assert (upper, lower) == pytest.approx(expected[dof, t], rel=1e-13)
+            spread = 2.0 * math.sqrt(dof * t)
+            assert upper == pytest.approx(
+                chi_square_tails(dof, dof + spread + 2.0 * t)[1], rel=1e-12
+            )
+            assert lower == pytest.approx(chi_square_tails(dof, dof - spread)[0], rel=1e-12)
+            assert max(upper, lower) <= math.exp(-t)
+
+    @pytest.mark.parametrize("dof", ORACLE_DOFS)
+    def test_chi_square_tails_match_oracle(self, dof):
+        for x in _chi_square_spread(dof):
+            lower, upper = _gamma_p_q(dof / 2.0, x / 2.0)
+            want_lower, want_upper = chi_square_tails(dof, x)
+            assert lower == pytest.approx(want_lower, rel=1e-12, abs=1e-300), x
+            assert upper == pytest.approx(want_upper, rel=1e-12, abs=1e-300), x
+
+    @pytest.mark.parametrize("dof", ORACLE_DOFS)
+    def test_chi_square_events_match_oracle(self, dof):
+        # Once t >= dof / 4 the lower threshold is <= 0 and its event is empty.
+        for t in (1e-4, 0.01, 0.5, 3.0, 30.0):
+            upper, lower = tail_check_chi_square(dof, t)
+            spread = 2.0 * math.sqrt(dof * t)
+            want_upper = chi_square_tails(dof, dof + spread + 2.0 * t)[1]
+            want_lower = chi_square_tails(dof, dof - spread)[0] if dof > spread else 0.0
+            assert upper == pytest.approx(want_upper, rel=1e-12, abs=1e-300), t
+            assert lower == pytest.approx(want_lower, rel=1e-12, abs=1e-300), t
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dof=st.integers(min_value=1, max_value=2_000),
+        x=st.floats(min_value=1e-6, max_value=6_000.0),
+        step=st.floats(min_value=1e-9, max_value=50.0),
+    )
+    def test_chi_square_tails_complementary_and_monotone(self, dof, x, step):
+        lower, upper = _gamma_p_q(dof / 2.0, x / 2.0)
+        assert 0.0 <= lower <= 1.0 and 0.0 <= upper <= 1.0
+        assert abs(lower + upper - 1.0) <= 1e-12
+        lower_right, upper_right = _gamma_p_q(dof / 2.0, (x + step) / 2.0)
+        assert lower_right >= lower * (1.0 - 1e-12)
+        assert upper_right <= upper * (1.0 + 1e-12)
 
     def test_chi_square_low_dof(self):
-        upper, lower = tail_check_chi_square(1, 0.1, 100_000, RngStream(3, path=(54,)))
-        assert (upper, lower) == (0.17582, 0.4542)
-        bound = math.exp(-0.1)
-        allowance = 3.0 * math.sqrt(bound * (1 - bound) / 100_000)
-        assert upper <= bound + allowance
-        assert lower <= bound + allowance
+        # One degree of freedom: Z = N(0,1)^2, so P(Z <= x) = erf(sqrt(x/2)).
+        upper, lower = tail_check_chi_square(1, 0.1)
+        spread = 2.0 * math.sqrt(0.1)
+        assert upper == pytest.approx(math.erfc(math.sqrt((1.0 + spread + 0.2) / 2.0)), rel=1e-13)
+        assert lower == pytest.approx(math.erf(math.sqrt((1.0 - spread) / 2.0)), rel=1e-13)
+        assert max(upper, lower) <= math.exp(-0.1)
 
     def test_chi_square_validation(self):
         with pytest.raises(ValueError):
-            tail_check_chi_square(0, 1.0, 10, RngStream(0))
+            tail_check_chi_square(0, 1.0)
         with pytest.raises(ValueError):
-            tail_check_chi_square(5, 0.0, 10, RngStream(0))
+            tail_check_chi_square(5, 0.0)
+        with pytest.raises(ValueError):
+            tail_check_chi_square(5, math.nan)
+        assert tail_check_chi_square(5, math.inf) == (0.0, 0.0)
 
-    def test_gaussian_frozen_frequencies(self):
-        freq = tail_check_gaussian(2.0, 100_000, RngStream(3, path=(55,)))
-        assert freq == 0.0467
-        assert freq <= math.exp(-2.0)
-        edge = tail_check_gaussian(1.0001, 100_000, RngStream(3, path=(56,)))
-        assert edge == 0.31724
-        assert edge <= math.exp(-(1.0001**2) / 2.0)
+    def test_gaussian_matches_oracle(self):
+        for t in (1.0001, 1.25, 2.0, 3.0, 5.0, 10.0, 30.0):
+            prob = tail_check_gaussian(t)
+            assert prob == pytest.approx(2.0 * float(ndtr(-t)), rel=1e-12), t
+            assert prob <= math.exp(-(t**2) / 2.0)
 
     def test_gaussian_monotone_in_threshold(self):
-        freqs = [
-            tail_check_gaussian(t, 50_000, RngStream(9, path=(57,)))
-            for t in (1.25, 1.5, 2.0, 3.0)
-        ]
-        assert freqs == [0.21076, 0.13494, 0.04594, 0.00258]
-        assert all(a >= b for a, b in zip(freqs, freqs[1:]))
+        probs = [tail_check_gaussian(t) for t in (1.25, 1.5, 2.0, 3.0)]
+        assert all(a > b for a, b in zip(probs, probs[1:]))
 
     def test_gaussian_threshold_domain(self):
         with pytest.raises(ValueError, match="t > 1"):
-            tail_check_gaussian(1.0, 100, RngStream(1, path=(58,)))
+            tail_check_gaussian(1.0)
+        with pytest.raises(ValueError, match="t > 1"):
+            tail_check_gaussian(math.nan)
+
+    def test_tighter_false_bound_is_flagged(self):
+        # e^{-t^2} at t = 1.25 is 0.2096, below the exact tail 0.2113: a
+        # check held to it must fail, so an exact check can catch a bound
+        # that is off by under 1%.
+        t = 1.25
+        record = _check("gaussian_tail", {"t": t}, tail_check_gaussian(t), math.exp(-(t**2)), "<=")
+        assert record["pass"] is False
+        assert _check(
+            "gaussian_tail", {"t": t}, tail_check_gaussian(t), math.exp(-(t**2) / 2.0), "<="
+        )["pass"] is True
 
 
 class TestDpVerifier:

@@ -56,6 +56,17 @@ class TestScalars:
         base = linear_noise_variance(BUDGET, 1.0)
         assert linear_noise_variance(BUDGET, 2.0) == pytest.approx(4 * base, rel=1e-14)
 
+    def test_linear_noise_variance_saturates_instead_of_raising(self):
+        # lipschitz**2 overflows past about 1.3e154, and eps**2 underflows
+        # to 0 below about 1.5e-162; neither may raise.
+        assert linear_noise_variance(PrivacyBudget(0.8, 0.01), 1e300) == math.inf
+        assert linear_noise_variance(PrivacyBudget(1e-300, 0.01), 1.0) == math.inf
+        # Out of the squares' range, the ratio form keeps finite values.
+        tiny = linear_noise_variance(PrivacyBudget(1e-170, 0.01), 1e-160)
+        assert tiny == pytest.approx(1e20 * 8.0 * math.log(4.0 / 0.01), rel=1e-14)
+        unit_ratio = linear_noise_variance(PrivacyBudget(1e-150, 0.01), 1e-150)
+        assert unit_ratio == pytest.approx(8.0 * math.log(4.0 / 0.01), rel=1e-14)
+
     def test_tail_ratio_example(self):
         cal = calibrate(BUDGET, 1024, CONSTANTS_D14)
         # sqrt(log(2 / 0.005) / 1024) ~ 0.0765
@@ -165,6 +176,23 @@ class TestCalibrate:
         with pytest.raises(CalibrationInfeasibleError) as err:
             calibrate(BUDGET, 8, CONSTANTS_D14)
         assert err.value.min_n == 27
+
+    @pytest.mark.parametrize(
+        "epsilon, lipschitz, smoothness",
+        [
+            (0.8, 1e300, 1.0),  # lipschitz**2 overflows
+            (1e-10, 1e150, 1.0),  # the variance passes the float range
+            (1e-3, 5e153, 1.0),
+            (1e-300, 2.0, 1.0),  # eps**2 underflows to 0
+            (1.0, 2.0, 1e200),  # the quadratic threshold's square overflows
+        ],
+    )
+    def test_refuses_a_variance_that_is_not_finite(self, epsilon, lipschitz, smoothness):
+        constants = LossConstants(lipschitz=lipschitz, smoothness=smoothness, radius=1.0, dim=3)
+        with pytest.raises(ValueError, match=r"noise_var is inf at lipschitz = ") as err:
+            calibrate(PrivacyBudget(epsilon, 0.01), 100, constants)
+        assert f"epsilon = {epsilon!r}" in str(err.value)
+        assert f"lipschitz = {lipschitz!r}" in str(err.value)
 
     def test_linear_variance_strictly_decreasing_in_epsilon(self):
         variances = [

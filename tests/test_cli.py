@@ -82,6 +82,15 @@ class TestCalibrateCommand:
         cal = calibrate(budget, 500, spec.constants)
         assert payload["calibration"] == cal.to_dict()
 
+    @pytest.mark.parametrize("radius, epsilon", [("1e150", "1e-10"), ("1e300", "0.8")])
+    def test_refuses_infinite_noise_variance(self, capsys, radius, epsilon):
+        # The variance would be inf, which json.dumps writes as the
+        # non-JSON token Infinity; the calibration refuses it instead.
+        with pytest.raises(ValueError, match="linear_noise_var is inf"):
+            main(["calibrate", "--epsilon", epsilon, "--delta", "0.01", "--n", "100",
+                  "--dim", "3", "--radius", radius])
+        assert capsys.readouterr().out == ""
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "cal.json"
         rc = main(

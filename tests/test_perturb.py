@@ -5,7 +5,9 @@ were computed once under the pinned seeds and frozen here with their
 standard-error tolerances.  The contributor stream is checked bit for
 bit against NumPy's own Philox with ``advance``, within a few ulp
 against a plain-``math`` Box-Muller oracle, and statistically against
-N(0, 1); the release file is checked against ``csv.writer``.
+N(0, 1), including the exact Gaussian and chi-square tail probabilities
+the calibration's bounds rest on; the release file is checked against
+``csv.writer``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from inputdp import (
     linear_regression_loss,
     perturb_dataset,
     read_perturbed_csv,
+    tail_check_chi_square,
+    tail_check_gaussian,
     write_perturbed_csv,
 )
 from inputdp.perturb import _CHILD_BATCH, _box_muller
@@ -117,6 +121,27 @@ class TestPhiloxChildStream:
         assert abs(draws.mean()) <= 4.0 / math.sqrt(size)
         # Var of the sample variance of N(0, 1) is 2 / (size - 1).
         assert abs(draws.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (size - 1))
+
+    def test_tails_match_exact_probabilities(self):
+        # The tails the calibration's bounds rest on, measured on the
+        # stream that noises releases: |Z| > t per coordinate, and the
+        # chi-square(28) tail events of each contributor's sum of squares.
+        n, k = 2**15, 28
+        rows = RngStream(24, path=(7,)).child_normals(n, k)
+        magnitudes = np.abs(rows)
+        for t in (1.25, 2.0, 3.0):
+            exact = tail_check_gaussian(t)
+            freq = float(np.count_nonzero(magnitudes > t)) / rows.size
+            assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / rows.size), t
+        sums = np.einsum("ij,ij->i", rows, rows)
+        t = 3.0
+        exact_upper, exact_lower = tail_check_chi_square(k, t)
+        spread = 2.0 * math.sqrt(k * t)
+        for freq, exact in (
+            (float(np.mean(sums >= k + spread + 2.0 * t)), exact_upper),
+            (float(np.mean(sums <= k - spread)), exact_lower),
+        ):
+            assert abs(freq - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n)
 
     def test_neighbouring_contributors_uncorrelated(self):
         rows = RngStream(22, path=(7,)).child_normals(50_000, 6)
