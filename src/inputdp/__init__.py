@@ -26,7 +26,6 @@ from .calibration import (
     quad_noise_threshold,
     recommend_reg_cap,
     ridge_floor,
-    scale_budget,
 )
 from .core import (
     Dataset,
@@ -49,7 +48,6 @@ from .perturb import (
     NoiseRecord,
     Release,
     RngStream,
-    gaussian_release,
     perturb_dataset,
     read_perturbed_csv,
     write_perturbed_csv,
@@ -70,7 +68,6 @@ from .solver import (
 from .analysis import (
     CoverageReport,
     dp_verifier_gaussian_1d,
-    excess_empirical_risk,
     noise_free_gap,
     noise_ridge_coverage,
     reconstruct_objective_identity,

@@ -1,4 +1,4 @@
-"""Verification tools: risk metrics, concentration checks, a DP verifier.
+"""Verification tools: concentration checks, a DP verifier, gap checks.
 
 Everything here exists to *check* the pipeline's probabilistic claims
 numerically rather than trust them:
@@ -41,16 +41,15 @@ from .calibration import (
     ridge_floor,
 )
 from .core import Dataset, LossConstants, PrivacyBudget, model_array
-from .loss import LossSpec, empirical_objective
+from .loss import LossSpec
 from .perturb import NoiseRecord, RngStream, perturb_dataset
-from .solver import assemble_plain, learn_non_private, minimize_ball_constrained
+from .solver import assemble_plain, minimize_ball_constrained
 
 __all__ = [
     "CoverageReport",
     "NoiseRecord",
     "clamp_excess_risk",
     "dp_verifier_gaussian_1d",
-    "excess_empirical_risk",
     "noise_free_gap",
     "noise_ridge_coverage",
     "reconstruct_objective_identity",
@@ -99,19 +98,6 @@ def clamp_excess_risk(value: float) -> float:
     if -_EXCESS_CLAMP <= value < 0.0:
         return 0.0
     return value
-
-
-def excess_empirical_risk(dataset: Dataset, spec: LossSpec, w, baseline=None) -> float:
-    """Unregularized empirical risk of ``w`` above the in-ball minimizer.
-
-    ``baseline`` (the minimizer) is computed if not supplied.  Values
-    within roundoff below zero are clamped to zero.
-    """
-    if baseline is None:
-        baseline = learn_non_private(dataset, spec, reg_coeff=0.0)
-    return clamp_excess_risk(
-        empirical_objective(dataset, spec, w) - empirical_objective(dataset, spec, baseline)
-    )
 
 
 def reconstruct_objective_identity(
@@ -163,7 +149,6 @@ def worst_case_quad_stats(
     dim: int,
     direction: np.ndarray,
     smoothness: float,
-    row_cap: float | None = None,
 ) -> np.ndarray:
     """Statistic matrix making the noise/data cross term maximal.
 
@@ -171,16 +156,13 @@ def worst_case_quad_stats(
     direction, so the matrix attains the Frobenius budget
     smoothness * sqrt(dim) allowed on the valid domain while aligning
     every row with the probe — the binding case for the bracket's cross
-    term.  ``row_cap`` (a per-statistic norm bound) clips the row norm
-    when supplied.
+    term.
     """
     direction = np.asarray(direction, dtype=np.float64)
     nrm = float(np.linalg.norm(direction))
     if nrm == 0.0:
         raise ValueError("direction must be nonzero")
     row_norm = smoothness * math.sqrt(dim / n)
-    if row_cap is not None:
-        row_norm = min(row_norm, row_cap)
     return np.tile(direction / nrm * row_norm, (n, 1))
 
 

@@ -7,7 +7,7 @@ from their linear statistic p (per-coordinate variance linear_noise_var
 term on the objective.  Calibration picks the two variances so that:
 
 * the aggregated linear noise matches the Gaussian-mechanism scale for
-  the chosen budget share, and
+  the budget, and
 * with probability at least 1 - fail_prob the random ridge exceeds
   ridge_floor = 2 * smoothness / epsilon, the amount the privacy argument
   requires, while staying inside an explicit bracket.
@@ -332,29 +332,16 @@ def local_dp_asymptote(budget: PrivacyBudget, constants: LossConstants) -> float
     )
 
 
-def recommend_reg_cap(
-    constants: LossConstants, budget: PrivacyBudget, w_norm_estimate: float | None = None
-) -> float:
+def recommend_reg_cap(constants: LossConstants, budget: PrivacyBudget) -> float:
     """Default explicit ridge cap balancing shrinkage against noise.
 
-    Scales like sqrt(lipschitz^2 * dim * log(1/delta)) / (epsilon * ||w||
-    estimate) — the order at which the two excess-risk contributions
+    Scales like sqrt(lipschitz^2 * dim * log(1/delta)) / (epsilon *
+    radius) — the order at which the two excess-risk contributions
     balance — clamped below by 1.01 * ridge_floor so the total ridge
     stays strictly above the floor even with zero noise ridge.
     """
-    if w_norm_estimate is None:
-        w_norm_estimate = constants.radius
-    if w_norm_estimate <= 0:
-        raise ValueError(f"w_norm_estimate must be > 0, got {w_norm_estimate!r}")
     balance = (
         math.sqrt(constants.lipschitz**2 * constants.dim * math.log(1.0 / budget.delta))
-        / (budget.epsilon * w_norm_estimate)
+        / (budget.epsilon * constants.radius)
     )
     return max(balance, 1.01 * ridge_floor(constants.smoothness, budget.epsilon))
-
-
-def scale_budget(budget: PrivacyBudget, alpha: float) -> PrivacyBudget:
-    """Budget with epsilon scaled by alpha in (0, 1]; delta unchanged."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    return PrivacyBudget(epsilon=alpha * budget.epsilon, delta=budget.delta)

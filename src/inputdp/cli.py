@@ -19,7 +19,7 @@ import json
 import sys
 
 from .analysis import run_check_suite
-from .calibration import calibrate, local_dp_level, recommend_reg_cap, scale_budget
+from .calibration import calibrate, local_dp_level, recommend_reg_cap
 from .core import PrivacyBudget
 from .harness import ExperimentConfig, emit_report, load_csv, run_experiment
 from .loss import make_loss
@@ -28,14 +28,8 @@ from .solver import learn_input_perturbed, save_model
 
 
 def _add_budget_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, required=True, help="privacy epsilon in (0, 1)")
+    parser.add_argument("--epsilon", type=float, required=True, help="privacy epsilon, > 0")
     parser.add_argument("--delta", type=float, required=True, help="privacy delta in (0, 1)")
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        default=1.0,
-        help="fraction of epsilon spent on the input mechanism (default 1.0)",
-    )
 
 
 def _add_loss_args(parser: argparse.ArgumentParser) -> None:
@@ -49,7 +43,7 @@ def _add_loss_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    budget = scale_budget(PrivacyBudget(args.epsilon, args.delta), args.alpha)
+    budget = PrivacyBudget(args.epsilon, args.delta)
     spec = make_loss(args.task, args.radius, args.dim)
     cal = calibrate(budget, args.n, spec.constants)
     payload = {
@@ -72,7 +66,7 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
         args.input, args.target, scale=True, label_threshold=args.label_threshold
     )
     spec = make_loss(args.task, args.radius, dataset.dim)
-    budget = scale_budget(PrivacyBudget(args.epsilon, args.delta), args.alpha)
+    budget = PrivacyBudget(args.epsilon, args.delta)
     cal = calibrate(budget, len(dataset), spec.constants)
     released = perturb_dataset(
         dataset, spec, cal, RngStream(args.seed, path=(3,))
@@ -85,12 +79,9 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     released = read_perturbed_csv(args.input)
     spec = make_loss(args.task, args.radius, released.dim)
-    budget = scale_budget(PrivacyBudget(args.epsilon, args.delta), args.alpha)
+    budget = PrivacyBudget(args.epsilon, args.delta)
     cal = calibrate(budget, len(released), spec.constants)
-    reg_cap = args.reg_cap
-    if reg_cap is None:
-        reg_cap = recommend_reg_cap(spec.constants, budget)
-    model = learn_input_perturbed(released, spec.constants, budget, reg_cap=reg_cap)
+    model = learn_input_perturbed(released, spec.constants, budget, reg_cap=args.reg_cap)
     save_model(args.out, model, mechanism="input", calibration=cal)
     print(f"wrote model (dim {model.dim}) to {args.out}")
     return 0
@@ -106,7 +97,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "epsilon": args.epsilon,
         "delta": args.delta,
-        "alpha": args.alpha,
         "trials": args.trials,
     }
     for key, value in overrides.items():
@@ -172,7 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_args(p_learn)
     _add_loss_args(p_learn)
     p_learn.add_argument("--in", dest="input", required=True, help="released-statistics CSV")
-    p_learn.add_argument("--reg-cap", type=float, default=None)
+    p_learn.add_argument(
+        "--reg-cap", type=float, default=None,
+        help="explicit ridge cap (default: the recommended cap for the budget)",
+    )
     p_learn.add_argument("--out", required=True, help="model JSON path")
     p_learn.set_defaults(func=_cmd_learn)
 
@@ -181,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--epsilon", type=float, default=None)
     p_exp.add_argument("--delta", type=float, default=None)
-    p_exp.add_argument("--alpha", type=float, default=None)
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--mechanisms", default=None, help="comma-separated mechanism list")
     p_exp.add_argument("--n-grid", default=None, help="comma-separated sample sizes")

@@ -95,7 +95,9 @@ class LossConstants:
     dim: int
 
     def __post_init__(self) -> None:
-        for name in ("lipschitz", "smoothness", "radius"):
+        # radius first: the loss families derive lipschitz from it, so a
+        # bad radius is reported as the value the caller set.
+        for name in ("radius", "lipschitz", "smoothness"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")

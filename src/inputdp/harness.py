@@ -10,8 +10,9 @@ through addressable substreams of the experiment seed, so reports are
 byte-identical across repeat runs and across worker counts.
 
 Mechanism noise is *paired* within a cell where possible: the objective
-baseline's tilt vector is realized from the same per-contributor draws
-the input mechanism used (rescaled to its exact marginal law).  Paired
+baseline's tilt vector is the sum of the input mechanism's own
+per-contributor linear draws, which already has the tilt's exact
+N(0, linear_noise_variance(budget, L) I) law.  Paired
 draws make small mechanism differences measurable at desk-scale trial
 counts without biasing any per-mechanism mean (common random numbers).
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -29,11 +31,8 @@ from .analysis import clamp_excess_risk
 from .calibration import (
     CalibrationInfeasibleError,
     NoiseCalibration,
-    linear_noise_variance,
-    local_dp_level,
     calibrate,
-    recommend_reg_cap,
-    scale_budget,
+    local_dp_level,
 )
 from .core import Dataset, PrivacyBudget, _read_csv_table
 from .loss import LOSS_FAMILIES, LossSpec, empirical_objective, make_loss, predict
@@ -56,6 +55,11 @@ _STREAM_SPLIT = 1
 _STREAM_MECHANISM = 2
 
 
+def _is_integer(value) -> bool:
+    """An int or NumPy integer; a float (even 100.0) or a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that identifies an experiment (and nothing about how
@@ -68,10 +72,8 @@ class ExperimentConfig:
     trials: int = 20
     epsilon: float = 1.0
     delta: float = 0.01
-    alpha: float = 1.0
     radius: float = 1.0
     reg_cap: float | None = None
-    w_norm_estimate: float | None = None
     output_reg: float = 1e-3
     seed: int = 0
     data: str = "synthetic"
@@ -93,6 +95,13 @@ class ExperimentConfig:
         if len(set(mechanisms)) != len(mechanisms):
             raise ValueError(f"duplicate mechanisms in {mechanisms}")
         object.__setattr__(self, "mechanisms", mechanisms)
+        for name in ("trials", "dim", "seed", "pool_size"):
+            value = getattr(self, name)
+            if not (_is_integer(value) or (name == "pool_size" and value is None)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        not_integers = [n for n in self.n_grid if not _is_integer(n)]
+        if not_integers:
+            raise ValueError(f"n_grid entries must be integers, got {not_integers}")
         n_grid = tuple(int(n) for n in self.n_grid)
         if not n_grid or any(n < 1 for n in n_grid):
             raise ValueError(f"n_grid must be non-empty positive ints, got {n_grid}")
@@ -101,8 +110,6 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", n_grid)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         if self.radius <= 0:
             raise ValueError(f"radius must be > 0, got {self.radius!r}")
         if self.output_reg <= 0:
@@ -287,8 +294,6 @@ class _RunContext:
     pool: Dataset
     spec: LossSpec
     calibrations: dict[int, NoiseCalibration]
-    input_cap: float
-    objective_cap: float
 
 
 def _run_cell(ctx: _RunContext, n: int, trial: int) -> dict[str, dict[str, float]]:
@@ -306,7 +311,6 @@ def _run_cell(ctx: _RunContext, n: int, trial: int) -> dict[str, dict[str, float
     baseline = learn_non_private(train_set, spec, reg_coeff=0.0)
     baseline_objective = empirical_objective(train_set, spec, baseline)
     budget = config.budget
-    input_budget = scale_budget(budget, config.alpha)
 
     out: dict[str, dict[str, float]] = {}
     input_record = None
@@ -324,25 +328,18 @@ def _run_cell(ctx: _RunContext, n: int, trial: int) -> dict[str, dict[str, float
                 train_set, spec, cal, rng, record_noise=True
             )
             model = learn_input_perturbed(
-                released, spec.constants, input_budget, reg_cap=ctx.input_cap
+                released, spec.constants, budget, reg_cap=config.reg_cap
             )
         elif mechanism == "objective":
-            override = None
-            if input_record is not None:
-                # Paired comparison: realize the tilt from the input
-                # mechanism's own draws, rescaled to this mechanism's
-                # exact marginal law (see module docstring).
-                cal = ctx.calibrations[n]
-                target_sd = math.sqrt(
-                    linear_noise_variance(budget, spec.constants.lipschitz)
-                )
-                override = input_record.linear_total * (target_sd / cal.linear_noise_sd)
+            # Paired comparison: the tilt is the input mechanism's own
+            # aggregate linear noise (see module docstring).
+            override = None if input_record is None else input_record.linear_total
             model = learn_objective_perturbed(
                 train_set,
                 spec,
                 budget,
                 rng,
-                reg_cap=ctx.objective_cap,
+                reg_cap=config.reg_cap,
                 noise_override=override,
             )
         else:  # output
@@ -417,34 +414,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         )
 
     spec = make_loss(config.task, config.radius, pool.dim)
-    budget = config.budget
-    input_budget = scale_budget(budget, config.alpha)
-    input_cap = config.reg_cap
-    if input_cap is None:
-        input_cap = recommend_reg_cap(spec.constants, input_budget, config.w_norm_estimate)
-    objective_cap = config.reg_cap
-    if objective_cap is None:
-        objective_cap = recommend_reg_cap(spec.constants, budget, config.w_norm_estimate)
 
     calibrations: dict[int, NoiseCalibration] = {}
     infeasible: dict[int, int] = {}
     if "input" in config.mechanisms:
         for n in config.n_grid:
             try:
-                calibrations[n] = calibrate(input_budget, n, spec.constants)
+                calibrations[n] = calibrate(config.budget, n, spec.constants)
             except CalibrationInfeasibleError as exc:
                 # The run continues with the input cells at this n marked
                 # infeasible in the report instead of trained.
                 infeasible[n] = exc.min_n
 
-    ctx = _RunContext(
-        config=config,
-        pool=pool,
-        spec=spec,
-        calibrations=calibrations,
-        input_cap=input_cap,
-        objective_cap=objective_cap,
-    )
+    ctx = _RunContext(config=config, pool=pool, spec=spec, calibrations=calibrations)
     tasks = [(n, trial) for n in config.n_grid for trial in range(config.trials)]
     if workers == 1:
         results = [_run_cell(ctx, n, trial) for n, trial in tasks]

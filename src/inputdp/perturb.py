@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import NoiseCalibration, gaussian_noise_constant
-from .core import Dataset, PrivacyBudget, _read_csv_table, validate_dataset
+from .calibration import NoiseCalibration
+from .core import Dataset, _read_csv_table, validate_dataset
 from .loss import LossSpec
 
 # Contributors whose words are drawn and transformed per batch, and rows
@@ -36,9 +36,6 @@ _CSV_ROWS = 1024
 # Box-Muller scales: a word's top 53 bits times 2^-53 lies in [0, 1).
 _UNIT = 2.0**-53
 _TURN = 2.0 * math.pi * _UNIT
-# Relative margin by which gaussian_release's noise multiplier exceeds the
-# sqrt(2 ln(1.25/delta)) infimum.
-GAUSSIAN_RELEASE_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -214,38 +211,6 @@ def perturb_dataset(
     if record_noise:
         return released, NoiseRecord(quad_noise=quad_noise, linear_noise=linear_noise)
     return released
-
-
-def gaussian_release(
-    x: np.ndarray, diameter: float, budget: PrivacyBudget, rng: RngStream
-) -> np.ndarray:
-    """Standard Gaussian-mechanism release of a bounded vector.
-
-    Adds iid noise with sd (1 + GAUSSIAN_RELEASE_SLACK) *
-    sqrt(2 ln(1.25/delta)) * diameter / epsilon.  The guarantee needs the
-    noise multiplier to be *strictly* above the sqrt(2 ln(1.25/delta))
-    infimum, hence the margin, and it only holds for epsilon in (0, 1),
-    which is enforced here (the rest of the pipeline tolerates larger
-    budgets).
-    """
-    if budget.epsilon >= 1.0:
-        raise ValueError(
-            f"gaussian release is only valid for epsilon in (0, 1), got "
-            f"{budget.epsilon!r}; the sqrt(2 ln(1.25/delta)) noise scale has no "
-            "guarantee at or above 1"
-        )
-    if diameter <= 0:
-        raise ValueError(f"diameter must be > 0, got {diameter!r}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"x must be a 1-D vector, got shape {x.shape}")
-    sd = (
-        (1.0 + GAUSSIAN_RELEASE_SLACK)
-        * gaussian_noise_constant(budget.delta)
-        * diameter
-        / budget.epsilon
-    )
-    return x + rng.generator().standard_normal(x.shape[0]) * sd
 
 
 def _csv_header(dim: int) -> list[str]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from scipy.special import ndtr
 
 from inputdp import (

@@ -31,7 +31,6 @@ from inputdp import (
     report_csv_text,
     report_json_text,
     run_experiment,
-    scale_budget,
 )
 from inputdp.cli import main
 
@@ -70,17 +69,26 @@ class TestCalibrateCommand:
             "noise_constant": level.noise_constant,
         }
 
-    def test_alpha_scales_the_budget(self, capsys):
-        rc = main(
-            ["calibrate", "--epsilon", "0.5", "--delta", "0.01", "--alpha", "0.5",
-             "--n", "500", "--dim", "4"]
-        )
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        budget = scale_budget(PrivacyBudget(epsilon=0.5, delta=0.01), 0.5)
-        spec = make_loss("linear_regression", 1.0, 4)
-        cal = calibrate(budget, 500, spec.constants)
-        assert payload["calibration"] == cal.to_dict()
+    def test_epsilon_help_states_what_the_budget_enforces(self, capsys):
+        # PrivacyBudget takes any finite epsilon > 0, and so does the CLI.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["calibrate", "--help"])
+        assert excinfo.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--epsilon EPSILON privacy epsilon, > 0" in help_text
+        assert main(
+            ["calibrate", "--epsilon", "2", "--delta", "0.01", "--n", "100", "--dim", "2"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["calibration"]["epsilon"] == 2.0
+
+    @pytest.mark.parametrize("task, radius", [("linear_regression", "-1"), ("logistic", "-2")])
+    def test_bad_radius_is_named(self, capsys, task, radius):
+        # Both radii give lipschitz = 0 (radius + 1 and radius/4 + 1/2); the
+        # error names the value the user set.
+        with pytest.raises(ValueError, match=r"^radius must be positive and finite"):
+            main(["calibrate", "--epsilon", "0.5", "--delta", "0.01", "--n", "100",
+                  "--dim", "2", "--task", task, f"--radius={radius}"])
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("radius, epsilon", [("1e150", "1e-10"), ("1e300", "0.8")])
     def test_refuses_infinite_noise_variance(self, capsys, radius, epsilon):
@@ -116,7 +124,7 @@ class TestPerturbLearnPipeline:
 
         dataset, _ = load_csv(raw_csv, "y", scale=True)
         spec = make_loss("linear_regression", 1.0, 3)
-        budget = scale_budget(PrivacyBudget(epsilon=0.8, delta=0.01), 1.0)
+        budget = PrivacyBudget(epsilon=0.8, delta=0.01)
         cal = calibrate(budget, 40, spec.constants)
         expected = perturb_dataset(dataset, spec, cal, RngStream(5, path=(3,)))
         released = read_perturbed_csv(released_path)
@@ -157,7 +165,7 @@ class TestPerturbLearnPipeline:
         capsys.readouterr()
         model, _ = load_model(model_path)
         spec = make_loss("linear_regression", 1.0, 3)
-        budget = scale_budget(PrivacyBudget(epsilon=0.8, delta=0.01), 1.0)
+        budget = PrivacyBudget(epsilon=0.8, delta=0.01)
         direct = learn_input_perturbed(
             read_perturbed_csv(released_path), spec.constants, budget, reg_cap=9.5
         )
@@ -239,6 +247,14 @@ class TestArgumentParsing:
              "y", "--out", "released.csv", "--slack", "1.5"],
             ["learn", "--epsilon", "0.5", "--delta", "0.01", "--in", "released.csv", "--out",
              "model.json", "--seed", "5"],
+            # A run has one budget, so there is no epsilon split to set.
+            ["calibrate", "--epsilon", "0.5", "--delta", "0.01", "--n", "100", "--dim", "2",
+             "--alpha", "1.0"],
+            ["perturb", "--epsilon", "0.5", "--delta", "0.01", "--in", "raw.csv", "--target",
+             "y", "--out", "released.csv", "--alpha", "1.0"],
+            ["learn", "--epsilon", "0.5", "--delta", "0.01", "--in", "released.csv", "--out",
+             "model.json", "--alpha", "1.0"],
+            ["experiment", "--alpha", "1.0"],
         ],
     )
     def test_bad_invocations_exit_2(self, argv):

@@ -28,10 +28,10 @@ from inputdp import (
     local_dp_level,
     make_loss,
     predict,
+    recommend_reg_cap,
     report_csv_text,
     report_json_text,
     run_experiment,
-    scale_budget,
 )
 from tests.conftest import FLAGSHIP_N_GRID
 
@@ -178,8 +178,8 @@ class TestExperimentConfig:
             ({"n_grid": ()}, "non-empty positive"),
             ({"n_grid": (0, 4)}, "non-empty positive"),
             ({"trials": 0}, "trials must be >= 1"),
-            ({"alpha": 0.0}, r"alpha must lie in \(0, 1\]"),
-            ({"alpha": 1.2}, r"alpha must lie in \(0, 1\]"),
+            ({"dim": 2.5}, "dim must be an integer, got 2.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
             ({"radius": 0.0}, "radius must be > 0"),
             ({"output_reg": 0.0}, "output_reg must be > 0"),
             ({"seed": -1}, "seed must be >= 0"),
@@ -212,6 +212,32 @@ class TestExperimentConfig:
         assert "slack" not in payload
         with pytest.raises(ValueError, match=r"unknown config fields: \['slack'\]"):
             ExperimentConfig.from_dict({**payload, "slack": 1.0001})
+
+    @pytest.mark.parametrize("field, value", [("alpha", 1.0), ("w_norm_estimate", None)])
+    def test_from_dict_rejects_the_removed_budget_fields(self, field, value):
+        # A run has one budget and one default ridge cap, so a config
+        # that still carries the epsilon split or the w-norm hint is
+        # refused rather than silently ignored.
+        payload = ExperimentConfig().to_dict()
+        assert field not in payload
+        with pytest.raises(ValueError, match=rf"unknown config fields: \['{field}'\]"):
+            ExperimentConfig.from_dict({**payload, field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_grid", [100.5, 400.9], r"n_grid entries must be integers, got \[100.5, 400.9\]"),
+            ("n_grid", [64, 128.0], r"n_grid entries must be integers, got \[128.0\]"),
+            ("trials", 2.5, "trials must be an integer, got 2.5"),
+            ("trials", True, "trials must be an integer, got True"),
+            ("seed", "3", "seed must be an integer, got '3'"),
+            ("pool_size", 100.5, "pool_size must be an integer, got 100.5"),
+        ],
+    )
+    def test_from_dict_refuses_values_that_are_not_integers(self, field, value, message):
+        # A config read from JSON may carry floats; none is truncated.
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({field: value})
 
 
 class TestRunExperiment:
@@ -271,7 +297,7 @@ class TestRunExperiment:
         assert set(report.local_privacy) == {"64"}
 
     def test_local_privacy_echo_matches_library(self, golden_report):
-        budget = scale_budget(GOLDEN_CONFIG.budget, GOLDEN_CONFIG.alpha)
+        budget = GOLDEN_CONFIG.budget
         spec = make_loss("linear_regression", 1.0, GOLDEN_CONFIG.dim)
         for n in GOLDEN_CONFIG.n_grid:
             cal = calibrate(budget, n, spec.constants)
@@ -281,6 +307,21 @@ class TestRunExperiment:
             assert echoed["epsilon_declared_bounds"] == level.epsilon_declared_bounds
             assert echoed["delta"] == level.delta
             assert echoed["noise_constant"] == level.noise_constant
+
+    def test_default_reg_cap_is_the_recommended_cap(self):
+        # reg_cap=None leaves the cap to the learners, whose default is
+        # recommend_reg_cap(constants, budget) for both private solves.
+        config = ExperimentConfig(
+            mechanisms=("input", "objective"), n_grid=(64, 128), trials=2, dim=3, seed=6
+        )
+        spec = make_loss(config.task, config.radius, config.dim)
+        explicit = ExperimentConfig.from_dict(
+            {**config.to_dict(), "reg_cap": recommend_reg_cap(spec.constants, config.budget)}
+        )
+        default_report = run_experiment(config)
+        explicit_report = run_experiment(explicit)
+        assert default_report.cells == explicit_report.cells
+        assert default_report.calibrations == explicit_report.calibrations
 
     def test_empty_mechanism_list_yields_header_only_csv(self):
         config = ExperimentConfig(mechanisms=(), n_grid=(16,), trials=1, dim=2)

@@ -187,6 +187,14 @@ class TestDeclaredConstants:
         assert spec.bound_q == 0.5
         assert spec.bound_p == 0.5
 
+    @pytest.mark.parametrize("factory", [linear_regression_loss, logistic_quadratic_loss])
+    @pytest.mark.parametrize("radius", [-1.0, -2.0, -3.0, math.inf, math.nan])
+    def test_bad_radius_is_named(self, factory, radius):
+        # Both families derive lipschitz from the radius; the error names
+        # the radius the caller set, not the derived constant.
+        with pytest.raises(ValueError, match=r"^radius must be positive and finite, got "):
+            factory(radius=radius, dim=2)
+
 
 class TestFactoryAndPredict:
     def test_make_loss_round_trip(self):

@@ -30,7 +30,6 @@ from inputdp import (
     Release,
     RngStream,
     calibrate,
-    gaussian_release,
     linear_regression_loss,
     perturb_dataset,
     read_perturbed_csv,
@@ -374,33 +373,6 @@ class TestPerturbDataset:
         cov = float(np.cov(first, second, ddof=1)[0, 1])
         assert cov == pytest.approx(56.40895922007515, rel=1e-9)
         assert abs(cov) <= 4.0 * (cal.quad_noise_var / n) / math.sqrt(reps)
-
-
-class TestGaussianRelease:
-    def test_noise_scale_is_the_calibrated_sd(self):
-        # reconstruct the exact draws from the same stream: the release
-        # must be x + z * sd with sd = (1+1e-6) sqrt(2 ln(1.25/delta)) B/eps
-        stream = RngStream(5, path=(99,))
-        x = np.array([0.5, -0.25, 0.0, 1.0])
-        z = stream.generator().standard_normal(4)
-        out = gaussian_release(x, 1.0, PrivacyBudget(0.5, 0.01), stream)
-        assert np.array_equal(out, x + z * 6.2150291352073985)
-
-    def test_deterministic_given_stream(self):
-        x = np.zeros(3)
-        a = gaussian_release(x, 2.0, PrivacyBudget(0.3, 0.05), RngStream(1, path=(2,)))
-        b = gaussian_release(x, 2.0, PrivacyBudget(0.3, 0.05), RngStream(1, path=(2,)))
-        assert np.array_equal(a, b)
-
-    def test_refuses_epsilon_at_or_above_one(self):
-        with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            gaussian_release(np.zeros(2), 1.0, PrivacyBudget(1.0, 0.01), RngStream(0))
-
-    def test_rejects_bad_diameter_and_shape(self):
-        with pytest.raises(ValueError, match="diameter"):
-            gaussian_release(np.zeros(2), 0.0, PrivacyBudget(0.5, 0.01), RngStream(0))
-        with pytest.raises(ValueError, match="1-D"):
-            gaussian_release(np.zeros((2, 2)), 1.0, PrivacyBudget(0.5, 0.01), RngStream(0))
 
 
 def random_release(gen, n, d):

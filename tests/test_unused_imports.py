@@ -1,10 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
 A stdlib ``ast`` scan, so no lint tool is needed: it lists the names
 each import statement binds and fails on any that the module never
 references (a name listed in ``__all__`` counts as referenced).
-``from __future__`` imports and the package's own re-exports in
-``__init__.py`` are exempt.
+``from __future__`` imports, the package's own re-exports in
+``__init__.py`` and imports on a line marked ``# noqa: F401`` (kept for
+their side effect) are exempt.
 """
 
 from __future__ import annotations
@@ -14,15 +15,20 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "inputdp"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "inputdp"
 
 
 def unused_imports(source: str, *, reexports_exempt: bool = False) -> list[tuple[int, str]]:
     """(line, name) of every imported name that ``source`` never references."""
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported: list[tuple[int, str]] = []
     used: set[str] = set()
     for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
@@ -56,9 +62,16 @@ def test_scanner_flags_only_unused_names():
     assert unused_imports(source) == [(2, "os"), (4, "Iterable")]
     assert unused_imports("from .core import Dataset\n", reexports_exempt=True) == []
     assert unused_imports("from .core import Dataset\n") == [(1, "Dataset")]
+    assert unused_imports("import os  # noqa: F401\nimport sys\n") == [(2, "sys")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_library_module_has_no_unused_imports(path):
     unused = unused_imports(path.read_text(), reexports_exempt=path.name == "__init__.py")
+    assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_test_module_has_no_unused_imports(path):
+    unused = unused_imports(path.read_text())
     assert unused == [], f"{path.name}: unused imports {unused}"
