@@ -41,14 +41,14 @@ from .calibration import (
     ridge_floor,
 )
 from .core import Dataset, LossConstants, PrivacyBudget, model_array
-from .loss import LossSpec
+from .harness import generate_synthetic
+from .loss import LossSpec, linear_regression_loss
 from .perturb import NoiseRecord, RngStream, perturb_dataset
 from .solver import assemble_plain, minimize_ball_constrained
 
 __all__ = [
     "CoverageReport",
     "NoiseRecord",
-    "clamp_excess_risk",
     "dp_verifier_gaussian_1d",
     "noise_free_gap",
     "noise_ridge_coverage",
@@ -59,10 +59,6 @@ __all__ = [
     "tail_check_gaussian",
     "worst_case_quad_stats",
 ]
-
-# Excess-risk values this close below zero are roundoff.
-_EXCESS_CLAMP = 1e-10
-
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -91,13 +87,6 @@ class CoverageReport:
     def passes(self) -> bool:
         """Frequency at least target minus three binomial standard errors."""
         return self.frequency >= self.target - 3.0 * self.stderr
-
-
-def clamp_excess_risk(value: float) -> float:
-    """An excess risk with roundoff below zero (down to -1e-10) set to 0."""
-    if -_EXCESS_CLAMP <= value < 0.0:
-        return 0.0
-    return value
 
 
 def reconstruct_objective_identity(
@@ -398,13 +387,13 @@ def noise_free_gap(
     ``applicable`` reports whether that held.
     """
     constants = spec.constants
-    q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
+    q_stats, p_stats, _ = spec.encode_dataset(dataset)
     n = len(dataset)
     ridge = explicit_ridge(reg_cap, constants.smoothness, epsilon)
     q_released = q_stats + record.quad_noise
     b = record.linear_total
-    noisy = assemble_plain(q_released, p_stats, s_stats, constants.radius, ridge, tilt=b)
-    noise_free = assemble_plain(q_released, p_stats, s_stats, constants.radius, ridge)
+    noisy = assemble_plain(q_released, p_stats, constants.radius, ridge, tilt=b)
+    noise_free = assemble_plain(q_released, p_stats, constants.radius, ridge)
     w_noisy = minimize_ball_constrained(noisy).w
     w_free = minimize_ball_constrained(noise_free).w
 
@@ -552,9 +541,6 @@ def run_check_suite(seed: int = 0) -> list[dict]:
     )
 
     # Exact objective-reconstruction identity on random small instances.
-    from .harness import generate_synthetic  # local import to avoid a cycle
-    from .loss import linear_regression_loss
-
     max_rel = 0.0
     ident_budget = PrivacyBudget(epsilon=1.0, delta=0.01)
     for i in range(20):

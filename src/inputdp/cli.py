@@ -42,6 +42,17 @@ def _add_loss_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--radius", type=float, default=1.0, help="model-ball radius")
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers, for ``--n-grid``."""
+    values = []
+    for part in filter(str.strip, text.split(",")):
+        try:
+            values.append(int(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {part.strip()!r}") from None
+    return values
+
+
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     budget = PrivacyBudget(args.epsilon, args.delta)
     spec = make_loss(args.task, args.radius, args.dim)
@@ -79,9 +90,8 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     released = read_perturbed_csv(args.input)
     spec = make_loss(args.task, args.radius, released.dim)
-    budget = PrivacyBudget(args.epsilon, args.delta)
-    cal = calibrate(budget, len(released), spec.constants)
-    model = learn_input_perturbed(released, spec.constants, budget, reg_cap=args.reg_cap)
+    cal = calibrate(PrivacyBudget(args.epsilon, args.delta), len(released), spec.constants)
+    model = learn_input_perturbed(released, cal, reg_cap=args.reg_cap)
     save_model(args.out, model, mechanism="input", calibration=cal)
     print(f"wrote model (dim {model.dim}) to {args.out}")
     return 0
@@ -105,7 +115,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.mechanisms is not None:
         payload["mechanisms"] = [m.strip() for m in args.mechanisms.split(",") if m.strip()]
     if args.n_grid is not None:
-        payload["n_grid"] = [int(v) for v in args.n_grid.split(",") if v.strip()]
+        payload["n_grid"] = args.n_grid
     config = ExperimentConfig.from_dict(payload)
     report = run_experiment(config, workers=args.workers)
     text = emit_report(report, args.out, fmt=args.format)
@@ -176,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--delta", type=float, default=None)
     p_exp.add_argument("--trials", type=int, default=None)
     p_exp.add_argument("--mechanisms", default=None, help="comma-separated mechanism list")
-    p_exp.add_argument("--n-grid", default=None, help="comma-separated sample sizes")
+    p_exp.add_argument(
+        "--n-grid", type=_int_list, default=None, help="comma-separated sample sizes"
+    )
     p_exp.add_argument("--workers", type=int, default=1)
     p_exp.add_argument("--format", choices=["json", "csv"], default="json")
     p_exp.add_argument("--out", default=None, help="report path (stdout if omitted)")

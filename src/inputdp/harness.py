@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import clamp_excess_risk
 from .calibration import (
     CalibrationInfeasibleError,
     NoiseCalibration,
@@ -110,6 +109,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", n_grid)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.pool_size is not None and self.pool_size < 1:
+            raise ValueError(f"pool_size must be >= 1, got {self.pool_size}")
         if self.radius <= 0:
             raise ValueError(f"radius must be > 0, got {self.radius!r}")
         if self.output_reg <= 0:
@@ -279,6 +280,13 @@ def load_csv(
     return Dataset(features=features, labels=labels), info
 
 
+def clamp_excess_risk(value: float) -> float:
+    """An excess risk with roundoff below zero (down to -1e-10) set to 0."""
+    if -1e-10 <= value < 0.0:
+        return 0.0
+    return value
+
+
 def _evaluate(spec: LossSpec, test: Dataset, w) -> float:
     predictions = predict(spec, test.features, w)
     if spec.name == "linear_regression":
@@ -327,9 +335,7 @@ def _run_cell(ctx: _RunContext, n: int, trial: int) -> dict[str, dict[str, float
             released, input_record = perturb_dataset(
                 train_set, spec, cal, rng, record_noise=True
             )
-            model = learn_input_perturbed(
-                released, spec.constants, budget, reg_cap=config.reg_cap
-            )
+            model = learn_input_perturbed(released, cal, reg_cap=config.reg_cap)
         elif mechanism == "objective":
             # Paired comparison: the tilt is the input mechanism's own
             # aggregate linear noise (see module docstring).

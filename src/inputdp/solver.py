@@ -2,10 +2,11 @@
 
 The server-side problem is always
 
-    minimize   (1/2) w'Aw + b.w + c + (reg/2) ||w||^2
+    minimize   (1/2) w'Aw + b.w + (reg/2) ||w||^2
     subject to ||w|| <= radius
 
-a convex trust-region subproblem, solved exactly from one symmetric
+(defined up to an additive constant, which moves no minimizer), a
+convex trust-region subproblem, solved exactly from one symmetric
 eigendecomposition A = V diag(lam) V' (Moré & Sorensen, "Computing a
 Trust Region Step", SIAM J. Sci. Stat. Comput. 4(3), 1983).  With
 g = V'b and h = lam + reg, the minimizer is w = -V (g / (h + nu)) for
@@ -24,7 +25,7 @@ built (it is also the program's PSD check), and the solve reuses it.
 Four learners share this solver:
 
 * ``learn_non_private``       — plain (optionally ridged) minimization;
-* ``learn_input_perturbed``   — aggregates contributor releases; the
+* ``learn_input_perturbed``   — aggregates the releases' Q and P; the
   explicit ridge is (reg_cap - ridge_floor)/n, the rest of the floor
   being covered by the noise-induced ridge on the calibrated event;
 * ``learn_objective_perturbed`` — server-side baseline: one Gaussian
@@ -47,7 +48,7 @@ from .calibration import (
     linear_noise_variance,
     recommend_reg_cap,
 )
-from .core import Dataset, LossConstants, ModelVector, PrivacyBudget, model_array, project_to_ball
+from .core import Dataset, ModelVector, PrivacyBudget, model_array, project_to_ball
 from .loss import LossSpec
 from .perturb import Release, RngStream
 
@@ -69,7 +70,8 @@ _SECULAR_STEPS = 100
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """(1/2) w'Aw + b.w + c + (reg/2)||w||^2 over the ball of ``radius``.
+    """(1/2) w'Aw + b.w + (reg/2)||w||^2 over the ball of ``radius``,
+    defined up to an additive constant (which moves no minimizer).
 
     ``A`` must be symmetric positive semidefinite (validated to 1e-8
     eigenvalue tolerance; tiny asymmetry is symmetrized away).  Its
@@ -78,7 +80,6 @@ class QuadraticProgram:
 
     A: np.ndarray
     b_lin: np.ndarray
-    c0: float
     reg: float
     radius: float
     _eigh: tuple[np.ndarray, np.ndarray] = field(
@@ -94,7 +95,7 @@ class QuadraticProgram:
             raise ValueError(
                 f"b_lin must be a vector matching A, got {b.shape} vs {a.shape}"
             )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and math.isfinite(self.c0)):
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("program coefficients must be finite")
         if self.reg < 0:
             raise ValueError(f"reg must be >= 0, got {self.reg!r}")
@@ -113,7 +114,6 @@ class QuadraticProgram:
             arr.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "b_lin", b)
-        object.__setattr__(self, "c0", float(self.c0))
         object.__setattr__(self, "_eigh", (eigenvalues, eigenvectors))
 
     @property
@@ -125,13 +125,8 @@ class QuadraticProgram:
         return float(
             0.5 * wa @ (self.A @ wa)
             + self.b_lin @ wa
-            + self.c0
             + 0.5 * self.reg * (wa @ wa)
         )
-
-    def gradient(self, w) -> np.ndarray:
-        wa = model_array(w)
-        return self.A @ wa + self.b_lin + self.reg * wa
 
 
 @dataclass(frozen=True)
@@ -232,14 +227,13 @@ def minimize_ball_constrained(program: QuadraticProgram) -> SolverResult:
 def assemble_plain(
     q_stats: np.ndarray,
     p_stats: np.ndarray,
-    s_stats: np.ndarray,
     radius: float,
     reg_coeff: float = 0.0,
     tilt: np.ndarray | None = None,
 ) -> QuadraticProgram:
-    """Program over stacked statistics (Q, P, S) of n rows: the mean of
-    (1/2)(q.w)^2 - p.w + s, plus (reg_coeff/2n)||w||^2, plus tilt.w/n when
-    a ``tilt`` vector is given.  Every server-side program is built here,
+    """Program over stacked statistics (Q, P) of n rows: the mean of
+    (1/2)(q.w)^2 - p.w, plus (reg_coeff/2n)||w||^2, plus tilt.w/n when a
+    ``tilt`` vector is given.  Every server-side program is built here,
     from clean statistics and from released ones alike."""
     n = q_stats.shape[0]
     b_lin = -p_stats.mean(axis=0)
@@ -248,55 +242,54 @@ def assemble_plain(
     return QuadraticProgram(
         A=q_stats.T @ q_stats / n,
         b_lin=b_lin,
-        c0=float(s_stats.mean()),
         reg=reg_coeff / n,
         radius=radius,
     )
 
 
 def assemble_released(
-    released: Release,
-    constants: LossConstants,
-    budget: PrivacyBudget,
-    reg_cap: float,
+    released: Release, cal: NoiseCalibration, reg_cap: float
 ) -> QuadraticProgram:
-    """Program over aggregated contributor releases.
+    """Program over the Q and P of contributor releases drawn with ``cal``.
 
-    The explicit ridge is (reg_cap - ridge_floor)/n: on the calibrated
-    event the noise-induced ridge covers at least the floor, so the total
-    effective ridge clears reg_cap's intent without double-charging.
+    A release not of shape (cal.n, d) is refused.  The explicit ridge is
+    (reg_cap - ridge_floor)/n: on the calibrated event the noise-induced
+    ridge covers at least the floor, so the total effective ridge clears
+    reg_cap's intent without double-charging.
     """
-    if len(released) == 0:
-        raise ValueError("no released statistics to aggregate")
-    ridge = explicit_ridge(reg_cap, constants.smoothness, budget.epsilon)
-    return assemble_plain(released.Q, released.P, released.S, constants.radius, ridge)
+    constants = cal.constants
+    if released.Q.shape != (cal.n, constants.dim):
+        raise ValueError(
+            f"release of shape {released.Q.shape} does not match its calibration's "
+            f"(n, d) = {(cal.n, constants.dim)}"
+        )
+    ridge = explicit_ridge(reg_cap, constants.smoothness, cal.budget.epsilon)
+    return assemble_plain(released.Q, released.P, constants.radius, ridge)
 
 
 def learn_non_private(
     dataset: Dataset, spec: LossSpec, reg_coeff: float = 0.0
 ) -> ModelVector:
     """Ball-constrained minimizer of the clean empirical objective."""
-    program = assemble_plain(*spec.encode_dataset(dataset), spec.constants.radius, reg_coeff)
+    program = assemble_plain(*spec.encode_dataset(dataset)[:2], spec.constants.radius, reg_coeff)
     result = minimize_ball_constrained(program)
     return project_to_ball(result.w, spec.constants.radius)
 
 
 def learn_input_perturbed(
-    released: Release,
-    constants: LossConstants,
-    budget: PrivacyBudget,
-    reg_cap: float | None = None,
+    released: Release, cal: NoiseCalibration, reg_cap: float | None = None
 ) -> ModelVector:
     """Learn from contributor releases alone (the server never sees raw data).
 
-    ``budget`` must be the same budget the releases were calibrated
-    against.  ``reg_cap`` defaults to :func:`recommend_reg_cap`.
+    ``cal`` must be the calibration the releases were drawn with; its
+    budget sets the ridge floor.  ``reg_cap`` defaults to
+    :func:`recommend_reg_cap`.
     """
     if reg_cap is None:
-        reg_cap = recommend_reg_cap(constants, budget)
-    program = assemble_released(released, constants, budget, reg_cap)
+        reg_cap = recommend_reg_cap(cal.constants, cal.budget)
+    program = assemble_released(released, cal, reg_cap)
     result = minimize_ball_constrained(program)
-    return project_to_ball(result.w, constants.radius)
+    return project_to_ball(result.w, cal.constants.radius)
 
 
 def learn_objective_perturbed(
@@ -328,7 +321,7 @@ def learn_objective_perturbed(
     else:
         sd = math.sqrt(linear_noise_variance(budget, constants.lipschitz))
         b = rng.generator().standard_normal(dataset.dim) * sd
-    program = assemble_plain(*spec.encode_dataset(dataset), constants.radius, reg_cap, tilt=b)
+    program = assemble_plain(*spec.encode_dataset(dataset)[:2], constants.radius, reg_cap, tilt=b)
     result = minimize_ball_constrained(program)
     return project_to_ball(result.w, constants.radius)
 
@@ -354,7 +347,7 @@ def learn_output_perturbed(
         raise ValueError(f"reg_strength must be > 0, got {reg_strength!r}")
     constants = spec.constants
     n = len(dataset)
-    program = assemble_plain(*spec.encode_dataset(dataset), constants.radius, reg_strength * n)
+    program = assemble_plain(*spec.encode_dataset(dataset)[:2], constants.radius, reg_strength * n)
     result = minimize_ball_constrained(program)
     gen = rng.generator()
     direction = gen.standard_normal(dataset.dim)

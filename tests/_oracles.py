@@ -31,7 +31,7 @@ from scipy.special import chdtr, chdtrc, ndtr
 
 
 def quadratic_objective(A: np.ndarray, b: np.ndarray, reg: float, w: np.ndarray) -> float:
-    """0.5 w'(A + reg I)w + b'w, the solver objective with c0 = 0."""
+    """0.5 w'(A + reg I)w + b'w, the solver objective."""
     return float(0.5 * w @ (A @ w) + b @ w + 0.5 * reg * (w @ w))
 
 

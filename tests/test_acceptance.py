@@ -204,7 +204,7 @@ def test_criterion_8_solver_matches_grid_oracle(capsys):
     worst = 0.0
     for i in range(100):
         A, b, reg, radius = random_ball_instance(gen, i)
-        program = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=reg, radius=radius)
+        program = QuadraticProgram(A=A, b_lin=b, reg=reg, radius=radius)
         solved = minimize_ball_constrained(program)
         center = trust_region_solve(A, b, reg, radius)
         tabulated = grid_minimum(A, b, reg, radius, center)

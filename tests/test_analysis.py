@@ -51,8 +51,8 @@ from inputdp.analysis import (
     _gamma_p_q,
     _noise_ridge_samples,
     _normal_cdf,
-    clamp_excess_risk,
 )
+from inputdp.harness import clamp_excess_risk
 from tests._oracles import (
     chi_square_tails,
     draw_noise_ridge_samples,

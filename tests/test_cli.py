@@ -146,7 +146,7 @@ class TestPerturbLearnPipeline:
         assert "seed" not in payload
         assert payload["calibration"] == cal.to_dict()
         direct = learn_input_perturbed(
-            released, spec.constants, budget, reg_cap=recommend_reg_cap(spec.constants, budget)
+            released, cal, reg_cap=recommend_reg_cap(spec.constants, budget)
         )
         assert np.array_equal(model.w, direct.w)
 
@@ -166,10 +166,36 @@ class TestPerturbLearnPipeline:
         model, _ = load_model(model_path)
         spec = make_loss("linear_regression", 1.0, 3)
         budget = PrivacyBudget(epsilon=0.8, delta=0.01)
-        direct = learn_input_perturbed(
-            read_perturbed_csv(released_path), spec.constants, budget, reg_cap=9.5
-        )
+        released = read_perturbed_csv(released_path)
+        cal = calibrate(budget, len(released), spec.constants)
+        direct = learn_input_perturbed(released, cal, reg_cap=9.5)
         assert np.array_equal(model.w, direct.w)
+
+    def test_learn_never_reads_the_s_column(self, raw_csv, tmp_path, capsys):
+        released_path = tmp_path / "released.csv"
+        main(
+            ["perturb", "--epsilon", "0.8", "--delta", "0.01", "--in", str(raw_csv),
+             "--target", "y", "--out", str(released_path)]
+        )
+        lines = released_path.read_text().splitlines()
+        zeroed_path = tmp_path / "zeroed.csv"
+        zeroed_path.write_text(
+            "\n".join([lines[0]] + [row.rsplit(",", 1)[0] + ",0.0" for row in lines[1:]]) + "\n"
+        )
+        assert not np.array_equal(
+            read_perturbed_csv(zeroed_path).S, read_perturbed_csv(released_path).S
+        )
+        models = []
+        for path in (released_path, zeroed_path):
+            model_path = tmp_path / f"model_{path.stem}.json"
+            rc = main(
+                ["learn", "--epsilon", "0.8", "--delta", "0.01", "--in", str(path),
+                 "--out", str(model_path)]
+            )
+            assert rc == 0
+            models.append(model_path.read_bytes())
+        capsys.readouterr()
+        assert models[0] == models[1]
 
 
 class TestExperimentCommand:
@@ -261,6 +287,15 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "n_grid, bad", [("100.5", "'100.5'"), ("64, 2e3", "'2e3'"), ("64,x,128", "'x'")]
+    )
+    def test_bad_n_grid_is_named(self, n_grid, bad, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "--n-grid", n_grid])
+        assert excinfo.value.code == 2
+        assert f"argument --n-grid: invalid int value: {bad}" in capsys.readouterr().err
 
     def test_installed_entry_point(self, tmp_path):
         """The CLI runs as its own process, importing this inputdp."""

@@ -357,6 +357,15 @@ class TestRunExperiment:
         assert cell.trials == 2
         assert np.isfinite(cell.metric_mean)
 
+    @pytest.mark.parametrize("pool_size", [0, -5])
+    @pytest.mark.parametrize(
+        "source", [{}, {"data": "csv", "csv_path": "x.csv", "target_column": "y"}],
+        ids=["synthetic", "csv"],
+    )
+    def test_pool_size_must_be_positive(self, source, pool_size):
+        with pytest.raises(ValueError, match=f"pool_size must be >= 1, got {pool_size}"):
+            ExperimentConfig(pool_size=pool_size, **source)
+
     def test_pool_size_errors(self, tmp_path):
         with pytest.raises(ValueError, match="exceeds available training examples"):
             run_experiment(

@@ -9,6 +9,7 @@ tolerances.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from inputdp import (
     learn_output_perturbed,
     linear_regression_loss,
     load_model,
+    min_feasible_n,
     minimize_ball_constrained,
     perturb_dataset,
     recommend_reg_cap,
@@ -75,30 +77,30 @@ class TestQuadraticProgram:
     def test_validation(self):
         eye = np.eye(2)
         with pytest.raises(ValueError, match="square"):
-            QuadraticProgram(A=np.zeros((2, 3)), b_lin=np.zeros(2), c0=0.0, reg=0.0, radius=1.0)
+            QuadraticProgram(A=np.zeros((2, 3)), b_lin=np.zeros(2), reg=0.0, radius=1.0)
         with pytest.raises(ValueError, match="b_lin"):
-            QuadraticProgram(A=eye, b_lin=np.zeros(3), c0=0.0, reg=0.0, radius=1.0)
+            QuadraticProgram(A=eye, b_lin=np.zeros(3), reg=0.0, radius=1.0)
         with pytest.raises(ValueError, match="finite"):
-            QuadraticProgram(A=eye, b_lin=np.array([np.nan, 0.0]), c0=0.0, reg=0.0, radius=1.0)
+            QuadraticProgram(A=eye, b_lin=np.array([np.nan, 0.0]), reg=0.0, radius=1.0)
         with pytest.raises(ValueError, match="reg"):
-            QuadraticProgram(A=eye, b_lin=np.zeros(2), c0=0.0, reg=-0.1, radius=1.0)
+            QuadraticProgram(A=eye, b_lin=np.zeros(2), reg=-0.1, radius=1.0)
         with pytest.raises(ValueError, match="radius"):
-            QuadraticProgram(A=eye, b_lin=np.zeros(2), c0=0.0, reg=0.0, radius=0.0)
+            QuadraticProgram(A=eye, b_lin=np.zeros(2), reg=0.0, radius=0.0)
         with pytest.raises(ValueError, match="not symmetric"):
             QuadraticProgram(
-                A=np.array([[1.0, 0.5], [0.2, 1.0]]), b_lin=np.zeros(2), c0=0.0, reg=0.0, radius=1.0
+                A=np.array([[1.0, 0.5], [0.2, 1.0]]), b_lin=np.zeros(2), reg=0.0, radius=1.0
             )
         with pytest.raises(ValueError, match="positive semidefinite"):
-            QuadraticProgram(A=-eye, b_lin=np.zeros(2), c0=0.0, reg=0.0, radius=1.0)
+            QuadraticProgram(A=-eye, b_lin=np.zeros(2), reg=0.0, radius=1.0)
 
     def test_objective_and_gradient(self):
         prog = QuadraticProgram(
-            A=np.diag([2.0, 4.0]), b_lin=np.array([1.0, -1.0]), c0=0.5, reg=0.2, radius=3.0
+            A=np.diag([2.0, 4.0]), b_lin=np.array([1.0, -1.0]), reg=0.2, radius=3.0
         )
         w = np.array([1.0, 2.0])
-        assert prog.objective(w) == pytest.approx(1.0 + 8.0 + (1.0 - 2.0) + 0.5 + 0.1 * 5.0)
-        expected_grad = prog.A @ w + prog.b_lin + 0.2 * w
-        assert np.allclose(prog.gradient(w), expected_grad)
+        assert prog.objective(w) == pytest.approx(1.0 + 8.0 + (1.0 - 2.0) + 0.1 * 5.0)
+        gradient = prog.A @ w + prog.b_lin + prog.reg * w
+        assert np.allclose(gradient, [2.0 + 1.0 + 0.2, 8.0 - 1.0 + 0.4])
         assert prog.objective(ModelVector(w=w, radius=3.0)) == prog.objective(w)
 
 
@@ -108,28 +110,28 @@ class TestMinimizeBallConstrained:
         # multiplier p - a on the boundary (gradient 2 - 6 = -4 at w = 1)
         for radius, expected, multiplier in ((1.0, 1.0, 4.0), (10.0, 3.0, 0.0)):
             prog = QuadraticProgram(
-                A=np.array([[2.0]]), b_lin=np.array([-6.0]), c0=0.0, reg=0.0, radius=radius
+                A=np.array([[2.0]]), b_lin=np.array([-6.0]), reg=0.0, radius=radius
             )
             res = minimize_ball_constrained(prog)
             assert res.w[0] == pytest.approx(expected, abs=1e-14)
             assert res.multiplier == pytest.approx(multiplier, abs=1e-14)
 
     def test_identity_hessian_zero_linear(self):
-        prog = QuadraticProgram(A=np.eye(3), b_lin=np.zeros(3), c0=0.0, reg=0.5, radius=1.0)
+        prog = QuadraticProgram(A=np.eye(3), b_lin=np.zeros(3), reg=0.5, radius=1.0)
         res = minimize_ball_constrained(prog)
         assert res.iterations == 0 and res.multiplier == 0.0
         assert np.array_equal(res.w, np.zeros(3))
 
     def test_curvature_free_closed_form(self):
         prog = QuadraticProgram(
-            A=np.zeros((2, 2)), b_lin=np.array([3.0, 4.0]), c0=0.0, reg=0.0, radius=2.0
+            A=np.zeros((2, 2)), b_lin=np.array([3.0, 4.0]), reg=0.0, radius=2.0
         )
         res = minimize_ball_constrained(prog)
         assert res.iterations == 0 and res.multiplier == 2.5
         assert np.allclose(res.w, [-1.2, -1.6], atol=1e-15)
 
         flat = QuadraticProgram(
-            A=np.zeros((2, 2)), b_lin=np.zeros(2), c0=1.0, reg=0.0, radius=2.0
+            A=np.zeros((2, 2)), b_lin=np.zeros(2), reg=0.0, radius=2.0
         )
         assert np.array_equal(minimize_ball_constrained(flat).w, np.zeros(2))
 
@@ -137,14 +139,14 @@ class TestMinimizeBallConstrained:
         gen = np.random.default_rng(12)
         for index in range(12):
             A, b, reg, radius = random_ball_instance(gen, index)
-            prog = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=reg, radius=radius)
+            prog = QuadraticProgram(A=A, b_lin=b, reg=reg, radius=radius)
             assert_matches_oracle(prog, minimize_ball_constrained(prog))
 
     def test_matches_tabulated_grid_minimum(self):
         gen = np.random.default_rng(12)
         for index in range(6):
             A, b, reg, radius = random_ball_instance(gen, index)
-            prog = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=reg, radius=radius)
+            prog = QuadraticProgram(A=A, b_lin=b, reg=reg, radius=radius)
             f_solved = quadratic_objective(
                 A, b, reg, minimize_ball_constrained(prog).w
             )
@@ -155,7 +157,7 @@ class TestMinimizeBallConstrained:
     def test_deterministic(self):
         gen = np.random.default_rng(2)
         A, b, reg, radius = random_ball_instance(gen, 2)
-        prog = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=reg, radius=radius)
+        prog = QuadraticProgram(A=A, b_lin=b, reg=reg, radius=radius)
         assert np.array_equal(
             minimize_ball_constrained(prog).w, minimize_ball_constrained(prog).w
         )
@@ -183,7 +185,7 @@ class TestKernelBackends:
         target = gen.standard_normal(dim)
         target *= (3.0 if placement == "boundary" else 0.5) / float(np.linalg.norm(target))
         lin = -hess @ target
-        program = QuadraticProgram(A=hess, b_lin=lin, c0=0.0, reg=0.0, radius=radius)
+        program = QuadraticProgram(A=hess, b_lin=lin, reg=0.0, radius=radius)
 
         result = minimize_ball_constrained(program)
         w_loop, nu_loop = exact_ball_loop(hess, lin, radius)
@@ -222,7 +224,8 @@ def assert_kkt(program: QuadraticProgram, result, tol: float = 1e-12) -> None:
         float(np.linalg.norm(program.A, 2)) + program.reg
     )
     assert mu >= 0.0
-    assert float(np.linalg.norm(program.gradient(w) + mu * w)) <= tol * scale
+    gradient = program.A @ w + program.b_lin + program.reg * w
+    assert float(np.linalg.norm(gradient + mu * w)) <= tol * scale
     assert float(np.linalg.norm(w)) <= radius * (1.0 + tol)
     assert abs(mu * (float(np.linalg.norm(w)) - radius)) <= tol * scale
     assert result.objective == program.objective(w)
@@ -251,7 +254,7 @@ class TestExactSolveProperties:
     def test_full_rank(self, seed, dim, reg, b_scale, radius):
         A, _, _, gen = psd_instance(seed, dim, dim)
         b = gen.standard_normal(dim) * b_scale
-        program = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=reg, radius=radius)
+        program = QuadraticProgram(A=A, b_lin=b, reg=reg, radius=radius)
         result = minimize_ball_constrained(program)
         assert_kkt(program, result)
         assert_matches_oracle(program, result)
@@ -268,7 +271,7 @@ class TestExactSolveProperties:
         rank = data.draw(st.integers(1, dim - 1))
         A, span, null, gen = psd_instance(seed, dim, rank)
         b = span @ gen.standard_normal(rank)
-        program = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=0.0, radius=radius)
+        program = QuadraticProgram(A=A, b_lin=b, reg=0.0, radius=radius)
         result = minimize_ball_constrained(program)
         assert_kkt(program, result)
         assert_matches_oracle(program, result)
@@ -288,7 +291,7 @@ class TestExactSolveProperties:
         # 1.6e-11 of the answer there.
         A, span, null, gen = psd_instance(990, 7, 4)
         b = span @ gen.standard_normal(4)
-        program = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=0.0, radius=5.734375)
+        program = QuadraticProgram(A=A, b_lin=b, reg=0.0, radius=5.734375)
         result = minimize_ball_constrained(program)
         assert 0.0 < result.multiplier < 1e-4
         assert_kkt(program, result)
@@ -311,7 +314,7 @@ class TestExactSolveProperties:
         along_null = null @ gen.standard_normal(dim - rank)
         along_null *= share / float(np.linalg.norm(along_null))
         b = span @ gen.standard_normal(rank) + along_null
-        program = QuadraticProgram(A=A, b_lin=b, c0=0.0, reg=0.0, radius=radius)
+        program = QuadraticProgram(A=A, b_lin=b, reg=0.0, radius=radius)
         result = minimize_ball_constrained(program)
         assert_kkt(program, result)
         assert_matches_oracle(program, result)
@@ -322,7 +325,7 @@ class TestExactSolveProperties:
     @given(seed=SEEDS, dim=DIMS, radius=st.floats(0.1, 10.0), zero_b=st.booleans())
     def test_zero_matrix(self, seed, dim, radius, zero_b):
         b = np.zeros(dim) if zero_b else np.random.default_rng(seed).standard_normal(dim)
-        program = QuadraticProgram(A=np.zeros((dim, dim)), b_lin=b, c0=0.0, reg=0.0, radius=radius)
+        program = QuadraticProgram(A=np.zeros((dim, dim)), b_lin=b, reg=0.0, radius=radius)
         result = minimize_ball_constrained(program)
         assert_kkt(program, result)
         assert result.iterations == 0
@@ -334,30 +337,48 @@ class TestExactSolveProperties:
 
 class TestAssembly:
     def test_plain_matches_empirical_objective(self):
+        # The program is the empirical objective up to the constant mean s.
         gen = np.random.default_rng(14)
         spec = linear_regression_loss(dim=3, radius=1.0)
         ds = random_dataset(gen, 12, 3)
-        prog = assemble_plain(*spec.encode_dataset(ds), spec.constants.radius, reg_coeff=0.7)
+        q_stats, p_stats, s_stats = spec.encode_dataset(ds)
+        prog = assemble_plain(q_stats, p_stats, spec.constants.radius, reg_coeff=0.7)
         assert prog.radius == spec.constants.radius
         for _ in range(20):
             w = gen.standard_normal(3)
             w /= max(1.0, float(np.linalg.norm(w)))
-            lhs = prog.objective(w)
+            lhs = prog.objective(w) + float(s_stats.mean())
             rhs = empirical_objective(ds, spec, w, 0.7)
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
     def test_released_matches_plain_under_zero_noise(self):
         gen = np.random.default_rng(15)
         spec = linear_regression_loss(dim=2, radius=1.0)
-        ds = random_dataset(gen, 10, 2)
-        released = Release(*spec.encode_dataset(ds))
-        floor = ridge_floor(spec.constants.smoothness, BUDGET.epsilon)
-        prog = assemble_released(released, spec.constants, BUDGET, reg_cap=floor)
-        plain = assemble_plain(*spec.encode_dataset(ds), spec.constants.radius)
+        ds = random_dataset(gen, 30, 2)
+        q_stats, p_stats, s_stats = spec.encode_dataset(ds)
+        released = Release(q_stats, p_stats, s_stats)
+        cal = calibrate(BUDGET, 30, spec.constants)
+        prog = assemble_released(released, cal, reg_cap=cal.ridge_floor)
+        plain = assemble_plain(q_stats, p_stats, spec.constants.radius)
         assert np.array_equal(prog.A, plain.A)
         assert np.array_equal(prog.b_lin, plain.b_lin)
-        assert prog.c0 == plain.c0
         assert prog.reg == 0.0
+
+    def test_released_program_ignores_s(self):
+        gen = np.random.default_rng(15)
+        spec = linear_regression_loss(dim=3, radius=1.0)
+        ds = random_dataset(gen, 40, 3)
+        cal = calibrate(BUDGET, 40, spec.constants)
+        released = perturb_dataset(ds, spec, cal, RngStream(4))
+        zeroed = Release(Q=released.Q, P=released.P, S=np.zeros(40))
+        assert not np.array_equal(released.S, zeroed.S)
+        reg_cap = recommend_reg_cap(spec.constants, BUDGET)
+        prog = assemble_released(released, cal, reg_cap)
+        blind = assemble_released(zeroed, cal, reg_cap)
+        fields = [f.name for f in dataclasses.fields(prog) if f.init]
+        assert fields == ["A", "b_lin", "reg", "radius"]
+        for name in fields:
+            assert np.array_equal(getattr(prog, name), getattr(blind, name)), name
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -376,37 +397,37 @@ class TestAssembly:
         )
         constants = LossConstants(lipschitz=2.0, smoothness=1.0, radius=1.5, dim=dim)
         reg_cap = cap_over_floor * ridge_floor(constants.smoothness, BUDGET.epsilon)
-        prog = assemble_released(released, constants, BUDGET, reg_cap)
         ridge = explicit_ridge(reg_cap, constants.smoothness, BUDGET.epsilon)
-        plain = assemble_plain(released.Q, released.P, released.S, constants.radius, ridge)
-        for got in (prog, plain):
+        plain = assemble_plain(released.Q, released.P, constants.radius, ridge)
+        programs = [plain]
+        if n >= min_feasible_n(BUDGET.delta / 2):  # a calibration exists at this n
+            cal = calibrate(BUDGET, n, constants)
+            programs.append(assemble_released(released, cal, reg_cap))
+        for got in programs:
             assert np.array_equal(got.A, released.Q.T @ released.Q / n)
             assert np.array_equal(got.b_lin, -released.P.mean(axis=0))
-            assert got.c0 == float(released.S.mean())
             assert got.reg == ridge / n
             assert got.radius == constants.radius
         tilt = gen.standard_normal(dim) * tilt_scale
-        tilted = assemble_plain(
-            released.Q, released.P, released.S, constants.radius, ridge, tilt=tilt
-        )
+        tilted = assemble_plain(released.Q, released.P, constants.radius, ridge, tilt=tilt)
         assert np.array_equal(tilted.A, plain.A)
         assert np.array_equal(tilted.b_lin, -released.P.mean(axis=0) + tilt / n)
-        assert (tilted.c0, tilted.reg) == (plain.c0, plain.reg)
+        assert tilted.reg == plain.reg
 
     def test_released_rejects_empty_and_low_cap(self):
         spec = linear_regression_loss(dim=2, radius=1.0)
-        with pytest.raises(ValueError, match="no released"):
+        cal = calibrate(BUDGET, 30, spec.constants)
+        with pytest.raises(ValueError, match=r"shape \(0, 2\) does not match .* \(30, 2\)"):
             assemble_released(
                 Release(Q=np.zeros((0, 2)), P=np.zeros((0, 2)), S=np.zeros(0)),
-                spec.constants,
-                BUDGET,
+                cal,
                 reg_cap=3.0,
             )
         gen = np.random.default_rng(16)
-        ds = random_dataset(gen, 5, 2)
+        ds = random_dataset(gen, 30, 2)
         released = Release(*spec.encode_dataset(ds))
         with pytest.raises(ValueError, match="ridge floor"):
-            assemble_released(released, spec.constants, BUDGET, reg_cap=1.9)
+            assemble_released(released, cal, reg_cap=1.9)
 
 
 class TestLearnNonPrivate:
@@ -448,8 +469,8 @@ class TestLearnInputPerturbed:
         spec = linear_regression_loss(dim=2, radius=1.0)
         ds = random_dataset(gen, 30, 2)
         released = Release(*spec.encode_dataset(ds))
-        floor = ridge_floor(spec.constants.smoothness, BUDGET.epsilon)
-        w_in = learn_input_perturbed(released, spec.constants, BUDGET, reg_cap=floor)
+        cal = calibrate(BUDGET, 30, spec.constants)
+        w_in = learn_input_perturbed(released, cal, reg_cap=cal.ridge_floor)
         w_np = learn_non_private(ds, spec, reg_coeff=0.0)
         assert np.array_equal(w_in.w, w_np.w)
 
@@ -461,9 +482,23 @@ class TestLearnInputPerturbed:
         released = perturb_dataset(ds, spec, cal, RngStream(2))
         perm = np.random.default_rng(0).permutation(27)
         shuffled = Release(Q=released.Q[perm], P=released.P[perm], S=released.S[perm])
-        w_a = learn_input_perturbed(released, spec.constants, BUDGET)
-        w_b = learn_input_perturbed(shuffled, spec.constants, BUDGET)
+        w_a = learn_input_perturbed(released, cal)
+        w_b = learn_input_perturbed(shuffled, cal)
         assert np.allclose(w_a.w, w_b.w, rtol=0, atol=1e-9)
+
+    def test_refuses_a_release_its_calibration_does_not_fit(self):
+        gen = np.random.default_rng(26)
+        spec = linear_regression_loss(dim=5, radius=1.0)
+        ds = random_dataset(gen, 2000, 5)
+        cal = calibrate(BUDGET, 2000, spec.constants)
+        released = perturb_dataset(ds, spec, cal, RngStream(5))
+        kept = Release(Q=released.Q[:1000], P=released.P[:1000], S=released.S[:1000])
+        with pytest.raises(ValueError, match=r"shape \(1000, 5\) .* \(2000, 5\)"):
+            learn_input_perturbed(kept, cal)
+        narrow = Release(Q=released.Q[:, :4], P=released.P[:, :4], S=released.S)
+        with pytest.raises(ValueError, match=r"shape \(2000, 4\) .* \(2000, 5\)"):
+            learn_input_perturbed(narrow, cal)
+        assert learn_input_perturbed(released, cal).dim == 5
 
     def test_finite_difference_local_optimality(self):
         gen = np.random.default_rng(24)
@@ -472,8 +507,8 @@ class TestLearnInputPerturbed:
         cal = calibrate(BUDGET, 27, spec.constants)
         released = perturb_dataset(ds, spec, cal, RngStream(3))
         reg_cap = recommend_reg_cap(spec.constants, BUDGET)
-        model = learn_input_perturbed(released, spec.constants, BUDGET, reg_cap=reg_cap)
-        prog = assemble_released(released, spec.constants, BUDGET, reg_cap)
+        model = learn_input_perturbed(released, cal, reg_cap=reg_cap)
+        prog = assemble_released(released, cal, reg_cap)
         center = prog.objective(model.w)
         assert float(np.linalg.norm(model.w)) < 1.0 - 1e-3  # probes stay feasible
         for axis in range(2):
@@ -524,7 +559,7 @@ class TestLearnOutputPerturbed:
         spec = linear_regression_loss(dim=4, radius=1.0)
         reg_strength, epsilon = 2.0, 40.0
         ridge = assemble_plain(
-            *spec.encode_dataset(dataset), spec.constants.radius, reg_coeff=reg_strength * 50
+            *spec.encode_dataset(dataset)[:2], spec.constants.radius, reg_coeff=reg_strength * 50
         )
         w_ridge = minimize_ball_constrained(ridge).w
         assert float(np.linalg.norm(w_ridge)) == pytest.approx(
@@ -546,7 +581,7 @@ class TestLearnOutputPerturbed:
     def test_vanishing_noise_limit(self, output_dataset):
         dataset = output_dataset
         spec = linear_regression_loss(dim=4, radius=1.0)
-        ridge = assemble_plain(*spec.encode_dataset(dataset), spec.constants.radius, 2.0 * 50)
+        ridge = assemble_plain(*spec.encode_dataset(dataset)[:2], spec.constants.radius, 2.0 * 50)
         w_ridge = minimize_ball_constrained(ridge).w
         out = learn_output_perturbed(
             dataset, spec, 1e12, RngStream(33, path=(66,)), reg_strength=2.0
