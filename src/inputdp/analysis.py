@@ -14,8 +14,8 @@ numerically rather than trust them:
   calibration leans on, with the tail probabilities from the regularized
   incomplete gamma function and ``math.erfc``;
 * a from-first-principles 1-D verifier of the Gaussian mechanism's
-  (epsilon, delta) claim over threshold events, with the normal CDF
-  taken from ``math.erfc`` (the package needs only NumPy);
+  (epsilon, delta) claim: the exact supremum of the privacy deficit
+  over all events, from ``math.erfc`` (the package needs only NumPy);
 * stability/utility gap checks between the noisy objective's minimizer
   and its noise-free counterpart.
 
@@ -316,52 +316,32 @@ def tail_check_gaussian(t: float) -> float:
     return math.erfc(t / math.sqrt(2.0))
 
 
-def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, 0.5 erfc(-x / sqrt 2), elementwise on math.erfc.
+def dp_verifier_gaussian_1d(diameter: float, sigma: float, epsilon: float) -> float:
+    """Exact privacy deficit of 1-D Gaussian releases of inputs 0 and diameter.
 
-    erfc keeps the lower tail's relative accuracy where 1 - 0.5 erfc(x /
-    sqrt 2) would cancel.
+    Returns sup_E P[release(x) in E] - e^epsilon P[release(x') in E] over
+    all events E and both orders of x, x' in {0, diameter}.  By
+    Neyman-Pearson the supremum is attained on the half-line above
+    tau* = diameter/2 + sigma^2 epsilon / diameter, and the reflection
+    y -> diameter - y maps the other order and the lower tails onto it,
+    so with mu = diameter / sigma it is the privacy profile
+    Phi(mu/2 - epsilon/mu) - e^epsilon Phi(-mu/2 - epsilon/mu) (Balle and
+    Wang, ICML 2018).  A value at most delta certifies (epsilon, delta);
+    one above delta is a witness of violation.  Built from ``math.erfc``
+    alone, independent of the calibration code.  The two tails cancel, so
+    the relative error grows with epsilon sigma^2 / diameter^2; the
+    absolute error stays a few ulps of 1.
     """
-    args = (x * -math.sqrt(0.5)).tolist()
-    return 0.5 * np.fromiter(map(math.erfc, args), np.float64, count=len(args))
-
-
-def dp_verifier_gaussian_1d(
-    diameter: float, sigma: float, epsilon: float, grid_size: int = 10_000
-) -> float:
-    """Largest threshold-event privacy deficit of 1-D Gaussian releases.
-
-    For the two extreme inputs x = 0 and x = diameter, scans threshold
-    events (upper and lower tails, both input orderings) and returns
-
-        sup_E  P[release(x) in E] - e^epsilon P[release(x') in E].
-
-    A value at most delta certifies (epsilon, delta) over this event
-    class; a value above delta is a concrete witness of violation.  Built
-    only from Gaussian CDFs, independent of the calibration code paths.
-    """
-    if diameter <= 0 or sigma <= 0 or epsilon <= 0:
-        raise ValueError("diameter, sigma and epsilon must all be > 0")
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    taus = np.linspace(-10.0 * sigma, diameter + 10.0 * sigma, grid_size)
-    amp = math.exp(epsilon)
-
-    def upper_tail(x: float) -> np.ndarray:
-        return _normal_cdf((x - taus) / sigma)  # P[x + sigma Z > tau]
-
-    def lower_tail(x: float) -> np.ndarray:
-        return _normal_cdf((taus - x) / sigma)  # P[x + sigma Z < tau]
-
-    upper_d, upper_0 = upper_tail(diameter), upper_tail(0.0)
-    lower_0, lower_d = lower_tail(0.0), lower_tail(diameter)
-    deficits = [
-        upper_d - amp * upper_0,
-        upper_0 - amp * upper_d,
-        lower_0 - amp * lower_d,
-        lower_d - amp * lower_0,
-    ]
-    return float(max(np.max(d) for d in deficits))
+    if not all(math.isfinite(v) and v > 0 for v in (diameter, sigma, epsilon)):
+        raise ValueError("diameter, sigma and epsilon must all be finite and > 0, "
+                         f"got {diameter!r}, {sigma!r}, {epsilon!r}")
+    ratio, half = sigma * epsilon / diameter, diameter / (2.0 * sigma)
+    # P[diameter + sigma Z > tau*] and P[sigma Z > tau*]; tau*/sigma = ratio + half.
+    tail_d = 0.5 * math.erfc((ratio - half) / math.sqrt(2.0))
+    tail_0 = 0.5 * math.erfc((ratio + half) / math.sqrt(2.0))
+    # The empty event has deficit 0, so the supremum is never negative;
+    # rounding can push a difference of nearly equal tails below zero.
+    return max(0.0, tail_d - math.exp(epsilon) * tail_0)
 
 
 def noise_free_gap(

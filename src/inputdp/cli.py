@@ -79,9 +79,15 @@ def _cmd_perturb(args: argparse.Namespace) -> int:
     spec = make_loss(args.task, args.radius, dataset.dim)
     budget = PrivacyBudget(args.epsilon, args.delta)
     cal = calibrate(budget, len(dataset), spec.constants)
-    released = perturb_dataset(
-        dataset, spec, cal, RngStream(args.seed, path=(3,))
-    )
+    if args.seed is None:
+        import secrets  # numpy.random loads it anyway; import inputdp does not
+
+        seed = secrets.randbits(128)  # never printed or written
+    else:
+        seed = args.seed
+        print("inputdp perturb: warning: anyone who knows --seed can recompute the "
+              "noise and remove it", file=sys.stderr)
+    released = perturb_dataset(dataset, spec, cal, RngStream(seed, path=(3,)))
     write_perturbed_csv(args.out, released)
     print(f"wrote {len(released)} released rows to {args.out}")
     return 0
@@ -164,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--in", dest="input", required=True, help="raw CSV path")
     p_pert.add_argument("--target", required=True, help="label column name")
     p_pert.add_argument("--label-threshold", type=float, default=None)
-    p_pert.add_argument("--seed", type=int, default=0)
+    p_pert.add_argument("--seed", type=int, default=None, help="fix the noise for a "
+                        "reproducible run; anyone who knows the seed can remove the noise "
+                        "(default: a fresh secret seed)")
     p_pert.add_argument("--out", required=True, help="released-statistics CSV path")
     p_pert.set_defaults(func=_cmd_perturb)
 
@@ -204,7 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # a user error ends like an argparse one
+        print(f"inputdp {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

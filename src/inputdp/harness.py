@@ -152,10 +152,10 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         coerced = dict(payload)
-        if "mechanisms" in coerced:
-            coerced["mechanisms"] = tuple(coerced["mechanisms"])
-        if "n_grid" in coerced:
-            coerced["n_grid"] = tuple(coerced["n_grid"])
+        for name in sorted(set(coerced) & {"mechanisms", "n_grid"}):
+            if isinstance(coerced[name], str):
+                raise ValueError(f"{name} must be a list, got the string {coerced[name]!r}")
+            coerced[name] = tuple(coerced[name])
         return cls(**coerced)
 
 
@@ -352,9 +352,11 @@ def _run_cell(ctx: _RunContext, n: int, trial: int) -> dict[str, dict[str, float
             model = learn_output_perturbed(
                 train_set, spec, budget.epsilon, rng, reg_strength=config.output_reg
             )
-        excess = clamp_excess_risk(
-            empirical_objective(train_set, spec, model) - baseline_objective
-        )
+        if model is baseline:
+            excess = 0.0
+        else:
+            objective = empirical_objective(train_set, spec, model)
+            excess = clamp_excess_risk(objective - baseline_objective)
         out[mechanism] = {
             "excess_risk": float(excess),
             "metric": _evaluate(spec, test_set, model),

@@ -13,6 +13,9 @@ evidence, not circularity:
   (coarse global sweep + fine local grid + sphere projections).
 * ``gaussian_delta_closed_form`` — the optimal-threshold privacy deficit
   of the 1-D Gaussian mechanism in closed form.
+* ``threshold_deficit`` / ``grid_scan_deficit`` — the same mechanism's
+  deficit on explicit threshold events, and its maximum over a grid of
+  thresholds (a lower bound on the supremum).
 * ``chi_square_tails`` — both tails of the chi-square law, from SciPy's
   incomplete gamma functions.
 * ``draw_noise_ridge_samples`` — noise-ridge draws from n-vectors of
@@ -228,6 +231,39 @@ def gaussian_delta_closed_form(sigma: float, epsilon: float, diameter: float) ->
     upper_tail = 1.0 - ndtr(ratio - half)
     shifted_tail = 1.0 - ndtr(ratio + half)
     return float(upper_tail - math.exp(epsilon) * shifted_tail)
+
+
+def threshold_deficit(
+    diameter: float, sigma: float, epsilon: float, taus: np.ndarray
+) -> np.ndarray:
+    """Largest deficit at each threshold tau over the four threshold events.
+
+    For the releases x + sigma Z of x = 0 and x = diameter, evaluates
+    P[release(x) in E] - e^eps P[release(x') in E] for E the upper and
+    the lower tail at tau, in both input orders, and keeps the largest.
+    """
+    taus = np.asarray(taus, dtype=np.float64)
+    amp = math.exp(epsilon)
+    upper_d, upper_0 = ndtr((diameter - taus) / sigma), ndtr(-taus / sigma)
+    lower_0, lower_d = ndtr(taus / sigma), ndtr((taus - diameter) / sigma)
+    return np.max(
+        [
+            upper_d - amp * upper_0,
+            upper_0 - amp * upper_d,
+            lower_0 - amp * lower_d,
+            lower_d - amp * lower_0,
+        ],
+        axis=0,
+    )
+
+
+def grid_scan_deficit(
+    diameter: float, sigma: float, epsilon: float, grid_size: int = 10_000
+) -> float:
+    """Largest threshold deficit over grid_size thresholds spread evenly
+    on [-10 sigma, diameter + 10 sigma]."""
+    taus = np.linspace(-10.0 * sigma, diameter + 10.0 * sigma, grid_size)
+    return float(np.max(threshold_deficit(diameter, sigma, epsilon, taus)))
 
 
 def chi_square_tails(dof: int, x: float) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Risk metrics, concentration checks, and the Gaussian-mechanism verifier.
 
-The verifier is checked against a closed-form deficit computed in
-tests/_oracles.py from Gaussian CDFs alone, and the exact tail
+The verifier is checked against a closed-form deficit and the deficits
+of explicit threshold events, computed in tests/_oracles.py from SciPy's
+normal CDF, and against mpmath; the exact tail
 probabilities against SciPy's incomplete gamma and normal CDF;
 Monte-Carlo frequencies are frozen from pinned-seed runs.  The exact-law noise-ridge draws are tied
 to the full-matrix reference by their moments and a two-sample KS test.
@@ -50,13 +51,14 @@ from inputdp.analysis import (
     _check,
     _gamma_p_q,
     _noise_ridge_samples,
-    _normal_cdf,
 )
 from inputdp.harness import clamp_excess_risk
 from tests._oracles import (
     chi_square_tails,
     draw_noise_ridge_samples,
     gaussian_delta_closed_form,
+    grid_scan_deficit,
+    threshold_deficit,
 )
 
 BUDGET = PrivacyBudget(epsilon=1.0, delta=0.01)
@@ -293,17 +295,6 @@ class TestExactLawNoiseRidge:
 
 
 class TestScipyFree:
-    def test_normal_cdf_matches_scipy(self):
-        x = np.linspace(-40.0, 40.0, 160_001)
-        ours, reference = _normal_cdf(x), ndtr(x)
-        # Relative accuracy where scipy's value is a normal float; below
-        # that (x < -37.5) scipy flushes to 0 and both are subnormal.
-        tiny = np.finfo(np.float64).tiny
-        normal = reference >= tiny
-        assert normal.sum() > 150_000
-        np.testing.assert_allclose(ours[normal], reference[normal], rtol=1e-12, atol=0.0)
-        assert np.all(ours[~normal] < tiny)
-
     def test_import_does_not_load_scipy(self):
         env = {**os.environ, "PYTHONPATH": str(Path(inputdp.__file__).parents[1])}
         code = (
@@ -462,31 +453,81 @@ class TestTailChecks:
         )["pass"] is True
 
 
+SUITE_SIGMA = math.sqrt(2.0 * math.log(1.25 / 0.01)) / 0.5
+# The suite's calibrated and tenth-of-calibrated scales, then a sweep.
+VERIFIER_SIGMAS = (SUITE_SIGMA, 0.1 * SUITE_SIGMA, 2.0, 3.0, 4.0, 6.0, 8.0)
+
+
 class TestDpVerifier:
     def test_calibrated_scale_matches_closed_form(self):
-        sigma = math.sqrt(2.0 * math.log(1.25 / 0.01)) / 0.5
-        observed = dp_verifier_gaussian_1d(1.0, sigma, 0.5)
-        assert observed == pytest.approx(5.3579560955771413e-05, rel=1e-9)
-        exact = gaussian_delta_closed_form(sigma, 0.5, 1.0)
-        assert abs(observed - exact) <= 1e-8
+        observed = dp_verifier_gaussian_1d(1.0, SUITE_SIGMA, 0.5)
+        assert observed == pytest.approx(5.357967996258038e-05, rel=1e-12)
+        exact = gaussian_delta_closed_form(SUITE_SIGMA, 0.5, 1.0)
+        assert abs(observed - exact) <= 1e-15
         assert observed <= 0.01
 
     def test_undernoised_scale_is_flagged(self):
-        sigma = math.sqrt(2.0 * math.log(1.25 / 0.01)) / 0.5
-        observed = dp_verifier_gaussian_1d(1.0, 0.1 * sigma, 0.5)
-        assert observed == pytest.approx(0.47101615122892226, rel=1e-9)
-        exact = gaussian_delta_closed_form(0.1 * sigma, 0.5, 1.0)
-        assert abs(observed - exact) <= 1e-5
+        observed = dp_verifier_gaussian_1d(1.0, 0.1 * SUITE_SIGMA, 0.5)
+        assert observed == pytest.approx(0.4710162643394412, rel=1e-12)
+        exact = gaussian_delta_closed_form(0.1 * SUITE_SIGMA, 0.5, 1.0)
+        assert abs(observed - exact) <= 1e-15
         assert observed > 0.01
 
     def test_huge_noise_has_no_deficit(self):
-        assert dp_verifier_gaussian_1d(1.0, 1e6, 0.5) <= 0.0
+        assert dp_verifier_gaussian_1d(1.0, 1e6, 0.5) == 0.0
 
     def test_monotone_in_sigma(self):
         values = [dp_verifier_gaussian_1d(1.0, s, 0.5) for s in (2.0, 3.0, 4.0, 6.0, 8.0)]
-        assert values[0] == pytest.approx(0.052440302526003096, rel=1e-9)
-        assert values[-1] == pytest.approx(1.144799591806247e-06, rel=1e-9)
+        assert values[0] == pytest.approx(0.05244032328766962, rel=1e-12)
+        assert values[-1] == pytest.approx(1.144800228386879e-06, rel=1e-12)
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("sigma", VERIFIER_SIGMAS)
+    def test_exact_and_at_least_the_grid_scan(self, sigma):
+        observed = dp_verifier_gaussian_1d(1.0, sigma, 0.5)
+        assert abs(observed - gaussian_delta_closed_form(sigma, 0.5, 1.0)) <= 1e-15
+        assert observed >= grid_scan_deficit(1.0, sigma, 0.5)
+
+    def test_grid_misses_the_threshold_beyond_its_range(self):
+        # The old scan's range [-10 sigma, 1 + 10 sigma] stops containing
+        # tau* = 1/2 + sigma^2 / 2 once sigma > 20, so it under-reports.
+        sigma = 25.0
+        assert 0.5 + sigma**2 * 0.5 > 1.0 + 10.0 * sigma
+        observed = dp_verifier_gaussian_1d(1.0, sigma, 0.5)
+        assert observed > 0.0
+        assert grid_scan_deficit(1.0, sigma, 0.5) < observed
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        diameter=st.floats(0.01, 100.0),
+        sigma=st.floats(0.01, 100.0),
+        epsilon=st.floats(0.01, 5.0),
+        tau=st.floats(-1e4, 1e4),
+    )
+    def test_supremum_over_threshold_events(self, diameter, sigma, epsilon, tau):
+        observed = dp_verifier_gaussian_1d(diameter, sigma, epsilon)
+        at_tau = threshold_deficit(diameter, sigma, epsilon, [tau])[0]
+        assert observed >= at_tau - 1e-15
+        tau_star = diameter / 2.0 + sigma**2 * epsilon / diameter
+        at_star = threshold_deficit(diameter, sigma, epsilon, [tau_star])[0]
+        assert abs(observed - max(at_star, 0.0)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "diameter, sigma, epsilon",
+        [(1.0, s, 0.5) for s in VERIFIER_SIGMAS]
+        + [(2.0, 0.5, 1.0), (1.0, 1.0, 10.0), (1.0, 0.05, 3.0), (0.5, 1.0, 0.1)],
+    )
+    def test_relative_accuracy_against_mpmath(self, diameter, sigma, epsilon):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            mu = mpmath.mpf(diameter) / mpmath.mpf(sigma)
+            eps = mpmath.mpf(epsilon)
+            exact = mpmath.ncdf(mu / 2 - eps / mu) - mpmath.exp(eps) * mpmath.ncdf(
+                -mu / 2 - eps / mu
+            )
+            assert exact >= 1e-300
+            observed = dp_verifier_gaussian_1d(diameter, sigma, epsilon)
+            assert abs(observed - exact) <= 1e-12 * exact
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -494,7 +535,15 @@ class TestDpVerifier:
         with pytest.raises(ValueError):
             dp_verifier_gaussian_1d(1.0, -1.0, 0.5)
         with pytest.raises(ValueError):
-            dp_verifier_gaussian_1d(1.0, 1.0, 0.5, grid_size=1)
+            dp_verifier_gaussian_1d(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_refused(self, position, bad):
+        args = [1.0, 1.0, 0.5]
+        args[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            dp_verifier_gaussian_1d(*args)
 
 
 class TestNoiseFreeGap:

@@ -5,9 +5,9 @@ library functions, and a metric whose function has gone is dropped from
 the result.  So a change that renames or removes one of those functions,
 or that makes a metric non-finite, breaks the benchmark's result line
 without failing a job.  One test runs one traced job of every workload
-and checks what the runner would report; another runs the runner itself
-on a short traced flagship run and parses its last stdout line, the
-result line, as strict JSON.
+and checks what the runner would report; two more run the runner itself,
+on a short traced flagship run and a one-job untraced verify run, and
+parse its last stdout line, the result line, as strict JSON.
 """
 
 from __future__ import annotations
@@ -61,14 +61,26 @@ def _reject_non_finite(constant: str):
     raise ValueError(f"result line holds the non-JSON constant {constant}")
 
 
-def test_traced_flagship_run_ends_with_its_result_line():
+def _result_line(workload: str, seconds: str, trace: str) -> dict:
+    """Run perfbench/run.py and parse its last stdout line as strict JSON."""
     completed = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "flagship", "--seed", "0",
-         "--seconds", "1", "--trace", "1"],
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "0",
+         "--seconds", seconds, "--trace", trace],
         capture_output=True, text=True, timeout=300, cwd=PERFBENCH.parent,
     )
     assert completed.returncode == 0, completed.stderr
     result = json.loads(completed.stdout.splitlines()[-1], parse_constant=_reject_non_finite)
     assert result["failed"] == 0 and result["correct"] is True
     assert result["attempted"] >= 1
+    return result
+
+
+def test_traced_flagship_run_ends_with_its_result_line():
+    result = _result_line("flagship", "1", "1")
     assert set(PER_LAYER) <= set(result["metrics"])
+
+
+def test_untraced_verify_run_ends_with_its_result_line():
+    # The untraced run is the one whose end-to-end metrics are compared.
+    result = _result_line("verify", "0", "0")
+    assert set(result["metrics"]) == {"setup_s", "job_s", "peak_rss_mb"}

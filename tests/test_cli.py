@@ -85,19 +85,34 @@ class TestCalibrateCommand:
     def test_bad_radius_is_named(self, capsys, task, radius):
         # Both radii give lipschitz = 0 (radius + 1 and radius/4 + 1/2); the
         # error names the value the user set.
-        with pytest.raises(ValueError, match=r"^radius must be positive and finite"):
-            main(["calibrate", "--epsilon", "0.5", "--delta", "0.01", "--n", "100",
-                  "--dim", "2", "--task", task, f"--radius={radius}"])
-        assert capsys.readouterr().out == ""
+        rc = main(["calibrate", "--epsilon", "0.5", "--delta", "0.01", "--n", "100",
+                   "--dim", "2", "--task", task, f"--radius={radius}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "inputdp calibrate: error: radius must be positive and finite"
+        )
 
     @pytest.mark.parametrize("radius, epsilon", [("1e150", "1e-10"), ("1e300", "0.8")])
     def test_refuses_infinite_noise_variance(self, capsys, radius, epsilon):
         # The variance would be inf, which json.dumps writes as the
         # non-JSON token Infinity; the calibration refuses it instead.
-        with pytest.raises(ValueError, match="linear_noise_var is inf"):
-            main(["calibrate", "--epsilon", epsilon, "--delta", "0.01", "--n", "100",
-                  "--dim", "3", "--radius", radius])
-        assert capsys.readouterr().out == ""
+        rc = main(["calibrate", "--epsilon", epsilon, "--delta", "0.01", "--n", "100",
+                   "--dim", "3", "--radius", radius])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("inputdp calibrate: error: ")
+        assert "linear_noise_var is inf" in captured.err
+
+    def test_infeasible_calibration_ends_without_a_traceback(self, capsys):
+        rc = main(["calibrate", "--epsilon", "1", "--delta", "0.01", "--n", "5", "--dim", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("inputdp calibrate: error: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "cal.json"
@@ -196,6 +211,65 @@ class TestPerturbLearnPipeline:
             models.append(model_path.read_bytes())
         capsys.readouterr()
         assert models[0] == models[1]
+
+
+    def test_seedless_runs_draw_fresh_noise(self, raw_csv, tmp_path, capsys):
+        # Without --seed the noise is keyed by a secret seed: two runs
+        # differ, and seed 0's noise does not strip either release.
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for path in paths:
+            rc = main(["perturb", "--epsilon", "0.8", "--delta", "0.01", "--in", str(raw_csv),
+                       "--target", "y", "--out", str(path)])
+            assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, second = (read_perturbed_csv(path) for path in paths)
+        assert not np.array_equal(first.Q, second.Q)
+        assert not np.array_equal(first.P, second.P)
+
+        dataset, _ = load_csv(raw_csv, "y", scale=True)
+        spec = make_loss("linear_regression", 1.0, 3)
+        cal = calibrate(PrivacyBudget(epsilon=0.8, delta=0.01), 40, spec.constants)
+        _, record = perturb_dataset(
+            dataset, spec, cal, RngStream(0, path=(3,)), record_noise=True
+        )
+        q_clean, p_clean, _ = spec.encode_dataset(dataset)
+        for released in (first, second):
+            assert not np.allclose(released.Q - record.quad_noise, q_clean, rtol=0.0, atol=1e-6)
+            assert not np.allclose(released.P + record.linear_noise, p_clean, rtol=0.0, atol=1e-6)
+
+    def test_fixed_seed_is_reproducible_and_warned_about(self, raw_csv, tmp_path, capsys):
+        outputs = []
+        for name in ("first.csv", "second.csv"):
+            path = tmp_path / name
+            rc = main(["perturb", "--epsilon", "0.8", "--delta", "0.01", "--in", str(raw_csv),
+                       "--target", "y", "--seed", "7", "--out", str(path)])
+            assert rc == 0
+            captured = capsys.readouterr()
+            assert "--seed" not in captured.out
+            assert captured.err == (
+                "inputdp perturb: warning: anyone who knows --seed can recompute the noise "
+                "and remove it\n"
+            )
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_seed_help_says_it_exposes_the_noise(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perturb", "--help"])
+        assert excinfo.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "anyone who knows the seed can remove the noise" in help_text
+
+    def test_missing_input_ends_without_a_traceback(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        rc = main(["perturb", "--epsilon", "0.8", "--delta", "0.01", "--in", str(missing),
+                   "--target", "y", "--out", str(tmp_path / "released.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("inputdp perturb: error: ")
+        assert str(missing) in captured.err
 
 
 class TestExperimentCommand:

@@ -239,6 +239,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict({field: value})
 
+    @pytest.mark.parametrize(
+        "field, value", [("n_grid", "64"), ("mechanisms", "input"), ("n_grid", "")]
+    )
+    def test_from_dict_refuses_a_string_for_a_list(self, field, value):
+        # A string is iterable, so tuple() would split it into characters.
+        message = rf"^{field} must be a list, got the string '{value}'$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({field: value})
+
 
 class TestRunExperiment:
     def test_non_private_cell_matches_a_direct_fit(self):
