@@ -339,9 +339,33 @@ def dp_verifier_gaussian_1d(diameter: float, sigma: float, epsilon: float) -> fl
     # P[diameter + sigma Z > tau*] and P[sigma Z > tau*]; tau*/sigma = ratio + half.
     tail_d = 0.5 * math.erfc((ratio - half) / math.sqrt(2.0))
     tail_0 = 0.5 * math.erfc((ratio + half) / math.sqrt(2.0))
+    try:
+        shifted = math.exp(epsilon) * tail_0
+    except OverflowError:
+        # epsilon above about 709.78: add in log space.  Capping the term
+        # at 1 keeps exp finite, and 1 already outweighs tail_d <= 1.
+        shifted = math.exp(min(0.0, epsilon + _log_upper_tail(ratio + half)))
     # The empty event has deficit 0, so the supremum is never negative;
     # rounding can push a difference of nearly equal tails below zero.
-    return max(0.0, tail_d - math.exp(epsilon) * tail_0)
+    return max(0.0, tail_d - shifted)
+
+
+def _log_upper_tail(b: float) -> float:
+    """log P[Z > b] for standard normal Z and b > 0.
+
+    Where ``erfc`` leaves the normal float range (b above about 37) it
+    takes the Mills-ratio series P[Z > b] = phi(b) / b * (1 - 1/b^2 +
+    3/b^4 - 15/b^6 + ...), summed until a term falls below 1e-17.
+    """
+    tail = 0.5 * math.erfc(b / math.sqrt(2.0))
+    if tail > 1e-300:
+        return math.log(tail)
+    inv_sq, term, total, k = 1.0 / (b * b), 1.0, 1.0, 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) * inv_sq
+        total += term
+        k += 1
+    return -0.5 * b * b - math.log(b * math.sqrt(2.0 * math.pi)) + math.log(total)
 
 
 def noise_free_gap(

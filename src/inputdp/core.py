@@ -229,14 +229,34 @@ def validate_dataset(dataset: Dataset) -> list[DomainViolation]:
     return violations
 
 
-def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
-    """The header of a numeric CSV file and its data rows as a float64
-    array of shape (rows, len(header)).
+def _numpy_lines(fh):
+    """The remaining lines of ``fh``, for ``np.loadtxt``.
 
-    Every data row must have as many fields as the header, each a float
-    literal; errors name ``path:line``.  A file without a header or
-    without a data row is refused.
+    Raises ``ValueError`` at a line where NumPy's parser could accept what
+    the ``csv.reader`` + ``float`` loop refuses: a blank line (NumPy skips
+    it), a line longer than ``csv.field_size_limit()``, or one holding
+    U+001C..U+001F (NumPy strips them around a number, ``float`` does
+    not).  Also raises at the end of a file without data rows, where
+    ``np.loadtxt`` would only warn.
     """
+    limit = csv.field_size_limit()
+    line = None
+    for line in fh:
+        if (
+            line.isspace()
+            or len(line) > limit
+            or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
+        ):
+            raise ValueError("line for the csv.reader loop")
+        yield line
+    if line is None:
+        raise ValueError("no data rows")
+
+
+def _read_csv_rows(path) -> tuple[list[str], np.ndarray]:
+    """The ``csv.reader`` + ``float`` loop behind :func:`_read_csv_table`:
+    it accepts quoted fields and ``float`` literals that NumPy refuses, and
+    names ``path:line`` when it refuses a file."""
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
@@ -252,3 +272,32 @@ def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
     if not values:
         raise ValueError(f"{path}: need a header row and at least one data row")
     return header, np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+
+
+def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
+    """The header of a numeric CSV file and its data rows as a float64
+    array of shape (rows, len(header)).
+
+    Every data row must have as many fields as the header, each a finite
+    float literal; errors name ``path:line``.  A file without a header or
+    without a data row is refused.  ``csv.reader`` reads the header and
+    ``np.loadtxt`` parses the body; each field converts to the same bits
+    as ``float`` gives.  Only when NumPy refuses a file does
+    :func:`_read_csv_rows` read it again, to accept what ``float`` accepts
+    (a quoted field, ``1_0``) or to name the line it refuses.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+        try:
+            table = np.loadtxt(
+                _numpy_lines(fh), delimiter=",", comments=None, quotechar=None,
+                ndmin=2, dtype=np.float64,
+            )
+        except ValueError:
+            table = None
+    if table is None or table.shape[1] != len(header):
+        header, table = _read_csv_rows(path)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite value")
+    return header, table

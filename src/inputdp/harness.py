@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -439,6 +438,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     if workers == 1:
         results = [_run_cell(ctx, n, trial) for n, trial in tasks]
     else:
+        # multiprocessing is slow to import; a one-worker run never needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(ctx,)
         ) as pool_exec:

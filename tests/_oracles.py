@@ -23,10 +23,13 @@ evidence, not circularity:
 * ``box_muller_normals`` — the contributor-stream transform from raw
   words to normals, written with ``math`` on Python ints and floats.
 * ``quadratic_objective`` — the plain objective both routes share.
+* ``read_csv_reference`` — a numeric CSV read with ``csv.reader`` and
+  ``float`` alone, with the library reader's messages.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -308,3 +311,33 @@ def box_muller_normals(words: list[int], k: int) -> list[float]:
         r = math.sqrt(-2.0 * math.log(u1))
         out += [r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)]
     return out[:k]
+
+
+def read_csv_reference(path) -> tuple[list[str], np.ndarray]:
+    """The header and float64 rows of a numeric CSV file, parsed field by
+    field with ``float``.
+
+    Refuses, in file order, a row whose field count differs from the
+    header's or with a field ``float`` refuses; then a file with no data
+    row; then the first row holding a NaN or an infinity.  The messages
+    are the library reader's.
+    """
+    with open(path, newline="") as fh:
+        records = csv.reader(fh)
+        header = next(records, [])
+        rows: list[list[float]] = []
+        for line_no, record in enumerate(records, start=2):
+            if len(record) != len(header):
+                raise ValueError(
+                    f"{path}:{line_no}: expected {len(header)} fields, got {len(record)}"
+                )
+            try:
+                rows.append([float(field) for field in record])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: non-numeric value ({exc})") from None
+    if not rows or not header:
+        raise ValueError(f"{path}: need a header row and at least one data row")
+    for line_no, row in enumerate(rows, start=2):
+        if not all(math.isfinite(value) for value in row):
+            raise ValueError(f"{path}:{line_no}: non-finite value")
+    return header, np.array(rows, dtype=np.float64)

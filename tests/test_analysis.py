@@ -529,6 +529,28 @@ class TestDpVerifier:
             observed = dp_verifier_gaussian_1d(diameter, sigma, epsilon)
             assert abs(observed - exact) <= 1e-12 * exact
 
+    def test_epsilon_past_exp_overflow(self):
+        # math.exp(710.0) overflows; the shifted tail is far larger than
+        # the first one, so the deficit is 0.
+        assert dp_verifier_gaussian_1d(1.0, 1.0, 710.0) == 0.0
+
+    @pytest.mark.parametrize("epsilon", [710.0, 1000.0, 1e4])
+    @pytest.mark.parametrize("offset", [-1.0, 1.0])
+    def test_large_epsilon_against_mpmath(self, epsilon, offset):
+        # mu solves mu/2 - epsilon/mu = offset, so the first tail is
+        # Phi(offset) and the deficit lies near 0.15 or 0.84.
+        mpmath = pytest.importorskip("mpmath")
+        sigma = 1.0 / (offset + math.sqrt(offset * offset + 2.0 * epsilon))
+        with mpmath.workdps(50):
+            mu = 1 / mpmath.mpf(sigma)
+            eps = mpmath.mpf(epsilon)
+            exact = mpmath.ncdf(mu / 2 - eps / mu) - mpmath.exp(eps) * mpmath.ncdf(
+                -mu / 2 - eps / mu
+            )
+            assert 1e-3 <= exact <= 0.9
+            observed = dp_verifier_gaussian_1d(1.0, sigma, epsilon)
+            assert abs(observed - exact) <= 1e-12 * exact
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dp_verifier_gaussian_1d(0.0, 1.0, 0.5)

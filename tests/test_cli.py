@@ -271,6 +271,30 @@ class TestPerturbLearnPipeline:
         assert captured.err.startswith("inputdp perturb: error: ")
         assert str(missing) in captured.err
 
+    def test_non_finite_values_are_named_by_line(self, raw_csv, tmp_path, capsys):
+        lines = raw_csv.read_text().splitlines()
+        raw_nan = tmp_path / "raw_nan.csv"
+        raw_nan.write_text("\n".join(lines[:3] + ["nan,0.1,0.2,0.3"] + lines[4:]) + "\n")
+        rc = main(["perturb", "--epsilon", "0.8", "--delta", "0.01", "--in", str(raw_nan),
+                   "--target", "y", "--out", str(tmp_path / "unused.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"inputdp perturb: error: {raw_nan}:4: non-finite value\n"
+
+        released_path = tmp_path / "released.csv"
+        main(["perturb", "--epsilon", "0.8", "--delta", "0.01", "--in", str(raw_csv),
+              "--target", "y", "--out", str(released_path)])
+        rows = released_path.read_text().splitlines()
+        rows[5] = "inf" + rows[5][rows[5].index(","):]
+        released_inf = tmp_path / "released_inf.csv"
+        released_inf.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        rc = main(["learn", "--epsilon", "0.8", "--delta", "0.01", "--in", str(released_inf),
+                   "--out", str(tmp_path / "model.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"inputdp learn: error: {released_inf}:6: non-finite value\n"
+        )
+
 
 class TestExperimentCommand:
     def test_flag_overrides_and_stdout_json(self, capsys):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,13 @@ class TestLoadCsv:
         bad.write_text("a,b,y\n1.0,oops,3.0\n")
         with pytest.raises(ValueError, match="non-numeric value"):
             load_csv(bad, "y")
+
+    def test_nan_target_is_refused_under_a_label_threshold(self, tmp_path):
+        # A NaN compares false with the threshold, so it would become label -1.
+        path = tmp_path / "nan.csv"
+        path.write_text("a,y\n0.1,1\n0.2,nan\n0.3,0\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: non-finite value$"):
+            load_csv(path, "y", scale=False, label_threshold=0.5)
 
 
 class TestExperimentConfig:

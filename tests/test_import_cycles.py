@@ -3,12 +3,16 @@
 A stdlib ``ast`` scan: every ``from .x import ...`` in
 ``src/inputdp/*.py``, at module top or inside a function, is an edge
 from the importing module to ``x``, and a depth-first search over those
-edges must find no back edge.
+edges must find no back edge.  A fresh interpreter also checks that
+importing the package leaves ``multiprocessing`` unloaded.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "inputdp"
@@ -69,3 +73,18 @@ def test_library_has_no_import_cycle():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     cycle = find_cycle(import_graph(sources))
     assert cycle is None, f"import cycle: {' -> '.join(cycle)}"
+
+
+def test_import_does_not_load_multiprocessing():
+    # Only run_experiment(workers > 1) needs a process pool.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = (
+        "import sys\n"
+        "import inputdp, inputdp.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "[]"
