@@ -26,6 +26,7 @@ records for the CLI.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,15 +340,20 @@ def dp_verifier_gaussian_1d(diameter: float, sigma: float, epsilon: float) -> fl
     # P[diameter + sigma Z > tau*] and P[sigma Z > tau*]; tau*/sigma = ratio + half.
     tail_d = 0.5 * math.erfc((ratio - half) / math.sqrt(2.0))
     tail_0 = 0.5 * math.erfc((ratio + half) / math.sqrt(2.0))
-    try:
+    if tail_0 > 1e-300 and epsilon < _LOG_FLOAT_MAX:
         shifted = math.exp(epsilon) * tail_0
-    except OverflowError:
-        # epsilon above about 709.78: add in log space.  Capping the term
-        # at 1 keeps exp finite, and 1 already outweighs tail_d <= 1.
+    else:
+        # tail_0 has lost bits below the normal range, or exp(epsilon)
+        # overflows: add in log space.  Capping the term at 1 keeps exp
+        # finite, and 1 already outweighs tail_d <= 1.
         shifted = math.exp(min(0.0, epsilon + _log_upper_tail(ratio + half)))
     # The empty event has deficit 0, so the supremum is never negative;
     # rounding can push a difference of nearly equal tails below zero.
     return max(0.0, tail_d - shifted)
+
+
+# exp overflows above this argument.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _log_upper_tail(b: float) -> float:
@@ -397,7 +403,8 @@ def noise_free_gap(
     q_released = q_stats + record.quad_noise
     b = record.linear_total
     noisy = assemble_plain(q_released, p_stats, constants.radius, ridge, tilt=b)
-    noise_free = assemble_plain(q_released, p_stats, constants.radius, ridge)
+    # Same curvature, so the noise-free program shares the noisy one's Gram.
+    noise_free = assemble_plain(noisy.gram, p_stats, constants.radius, ridge)
     w_noisy = minimize_ball_constrained(noisy).w
     w_free = minimize_ball_constrained(noise_free).w
 

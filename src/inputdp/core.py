@@ -253,25 +253,30 @@ def _numpy_lines(fh):
         raise ValueError("no data rows")
 
 
-def _read_csv_rows(path) -> tuple[list[str], np.ndarray]:
+def _read_csv_rows(path) -> tuple[list[str], np.ndarray, array]:
     """The ``csv.reader`` + ``float`` loop behind :func:`_read_csv_table`:
     it accepts quoted fields and ``float`` literals that NumPy refuses, and
-    names ``path:line`` when it refuses a file."""
+    names ``path:line`` when it refuses a file.  Also returns the line on
+    which each row starts, which a quoted line break can move."""
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         header = next(rows, [])
         width = len(header)
         values = array("d")
-        for line_no, row in enumerate(rows, start=2):
+        starts = array("q")
+        line_no = rows.line_num + 1
+        for row in rows:
             if len(row) != width:
                 raise ValueError(f"{path}:{line_no}: expected {width} fields, got {len(row)}")
             try:
                 values.extend(map(float, row))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: non-numeric value ({exc})") from None
+            starts.append(line_no)
+            line_no = rows.line_num + 1
     if not values:
         raise ValueError(f"{path}: need a header row and at least one data row")
-    return header, np.frombuffer(values, dtype=np.float64).reshape(-1, width)
+    return header, np.frombuffer(values, dtype=np.float64).reshape(-1, width), starts
 
 
 def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
@@ -279,15 +284,20 @@ def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
     array of shape (rows, len(header)).
 
     Every data row must have as many fields as the header, each a finite
-    float literal; errors name ``path:line``.  A file without a header or
-    without a data row is refused.  ``csv.reader`` reads the header and
-    ``np.loadtxt`` parses the body; each field converts to the same bits
-    as ``float`` gives.  Only when NumPy refuses a file does
-    :func:`_read_csv_rows` read it again, to accept what ``float`` accepts
-    (a quoted field, ``1_0``) or to name the line it refuses.
+    float literal; errors name ``path:line``, the physical line on which
+    the offending row starts.  A file without a header or without a data
+    row is refused.  ``csv.reader`` reads the header and ``np.loadtxt``
+    parses the body; each field converts to the same bits as ``float``
+    gives.  Only when NumPy refuses a file does :func:`_read_csv_rows`
+    read it again, to accept what ``float`` accepts (a quoted field,
+    ``1_0``) or to name the line it refuses.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        # The header can span lines (a quoted line break); NumPy's rows
+        # are one line each after it.
+        first_line = reader.line_num + 1
         try:
             table = np.loadtxt(
                 _numpy_lines(fh), delimiter=",", comments=None, quotechar=None,
@@ -295,9 +305,12 @@ def _read_csv_table(path) -> tuple[list[str], np.ndarray]:
             )
         except ValueError:
             table = None
+    starts = None
     if table is None or table.shape[1] != len(header):
-        header, table = _read_csv_rows(path)
+        header, table, starts = _read_csv_rows(path)
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        raise ValueError(f"{path}:{int(np.argmin(finite)) + 2}: non-finite value")
+        row = int(np.argmin(finite))
+        line_no = first_line + row if starts is None else starts[row]
+        raise ValueError(f"{path}:{line_no}: non-finite value")
     return header, table

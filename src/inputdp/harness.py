@@ -36,6 +36,7 @@ from .core import Dataset, PrivacyBudget, _read_csv_table
 from .loss import LOSS_FAMILIES, LossSpec, empirical_objective, make_loss, predict
 from .perturb import RngStream, perturb_dataset
 from .solver import (
+    factor_dataset,
     learn_input_perturbed,
     learn_non_private,
     learn_objective_perturbed,
@@ -315,46 +316,57 @@ def _run_cell(ctx: _RunContext, n: int, trial: int) -> dict[str, dict[str, float
     test_set = ctx.pool.subset(perm[:test_count])
     train_set = ctx.pool.subset(perm[test_count : test_count + n])
 
-    baseline = learn_non_private(train_set, spec, reg_coeff=0.0)
-    baseline_objective = empirical_objective(train_set, spec, baseline)
     budget = config.budget
 
+    def stream(mechanism: str) -> RngStream:
+        return root.child(_STREAM_MECHANISM, _MECHANISM_INDEX[mechanism], n, trial)
+
+    # The release runs before the clean encoding below is made, so the
+    # cell's peak memory stays the release's own.
+    input_model = input_record = None
+    if "input" in config.mechanisms and n in ctx.calibrations:
+        cal = ctx.calibrations[n]
+        released, input_record = perturb_dataset(
+            train_set, spec, cal, stream("input"), record_noise=True
+        )
+        input_model = learn_input_perturbed(released, cal, reg_cap=config.reg_cap)
+
+    # The clean learners and every objective below share one encoding
+    # and one factored Gram of the training set.
+    clean = factor_dataset(train_set, spec)
+    baseline = learn_non_private(clean, spec, reg_coeff=0.0)
+    baseline_objective = empirical_objective(clean.stats, spec, baseline)
+
     out: dict[str, dict[str, float]] = {}
-    input_record = None
     for mechanism in MECHANISMS:
         if mechanism not in config.mechanisms:
             continue
-        if mechanism == "input" and n not in ctx.calibrations:
+        if mechanism == "input" and input_model is None:
             continue  # marked infeasible at this n; other mechanisms still run
-        rng = root.child(_STREAM_MECHANISM, _MECHANISM_INDEX[mechanism], n, trial)
         if mechanism == "non_private":
             model = baseline
         elif mechanism == "input":
-            cal = ctx.calibrations[n]
-            released, input_record = perturb_dataset(
-                train_set, spec, cal, rng, record_noise=True
-            )
-            model = learn_input_perturbed(released, cal, reg_cap=config.reg_cap)
+            model = input_model
         elif mechanism == "objective":
             # Paired comparison: the tilt is the input mechanism's own
             # aggregate linear noise (see module docstring).
             override = None if input_record is None else input_record.linear_total
             model = learn_objective_perturbed(
-                train_set,
+                clean,
                 spec,
                 budget,
-                rng,
+                stream(mechanism),
                 reg_cap=config.reg_cap,
                 noise_override=override,
             )
         else:  # output
             model = learn_output_perturbed(
-                train_set, spec, budget.epsilon, rng, reg_strength=config.output_reg
+                clean, spec, budget.epsilon, stream(mechanism), reg_strength=config.output_reg
             )
         if model is baseline:
             excess = 0.0
         else:
-            objective = empirical_objective(train_set, spec, model)
+            objective = empirical_objective(clean.stats, spec, model)
             excess = clamp_excess_risk(objective - baseline_objective)
         out[mechanism] = {
             "excess_risk": float(excess),

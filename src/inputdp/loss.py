@@ -123,18 +123,27 @@ def make_loss(name: str, radius: float, dim: int) -> LossSpec:
     return factory(radius, dim)
 
 
-def empirical_objective(dataset: Dataset, spec: LossSpec, w, reg_coeff: float = 0.0) -> float:
+def empirical_objective(
+    dataset: Dataset | tuple[np.ndarray, np.ndarray, np.ndarray],
+    spec: LossSpec,
+    w,
+    reg_coeff: float = 0.0,
+) -> float:
     """Mean loss over the dataset plus ridge (reg_coeff / (2n)) ||w||^2.
 
     The ridge coefficient is divided by the dataset size, matching the
-    scaling under which the privacy calibration is stated.
+    scaling under which the privacy calibration is stated.  ``dataset``
+    may instead be the (Q, P, S) that ``spec.encode_dataset`` returned
+    for it, which gives the same value without encoding it again.
     """
     if reg_coeff < 0:
         raise ValueError(f"reg_coeff must be >= 0, got {reg_coeff!r}")
     wa = model_array(w)
-    q_stats, p_stats, s_stats = spec.encode_dataset(dataset)
+    if isinstance(dataset, Dataset):
+        dataset = spec.encode_dataset(dataset)
+    q_stats, p_stats, s_stats = dataset
     qw = q_stats @ wa
-    n = len(dataset)
+    n = q_stats.shape[0]
     mean_loss = float(np.mean(0.5 * qw * qw - p_stats @ wa + s_stats))
     return mean_loss + reg_coeff / (2.0 * n) * float(wa @ wa)
 

@@ -19,8 +19,13 @@ the KKT multiplier nu >= 0:
   1/||g / (h + nu)|| = 1/radius, found by safeguarded Newton steps
   inside a bracket that always contains it.
 
-The decomposition is taken once, when the :class:`QuadraticProgram` is
-built (it is also the program's PSD check), and the solve reuses it.
+The decomposition is taken once per Gram matrix A: a :class:`Gram`
+holds A validated (its smallest eigenvalue is the PSD check) with its
+decomposition, and every program built on it reuses that.  The three
+clean learners of a training set differ only in b and reg, so
+:func:`factor_dataset` encodes the set and factors its Gram once, and
+they all take the result; the harness evaluates its objectives from the
+same encoded rows.
 
 Four learners share this solver:
 
@@ -69,38 +74,27 @@ _SECULAR_STEPS = 100
 
 
 @dataclass(frozen=True)
-class QuadraticProgram:
-    """(1/2) w'Aw + b.w + (reg/2)||w||^2 over the ball of ``radius``,
-    defined up to an additive constant (which moves no minimizer).
+class Gram:
+    """A symmetric positive semidefinite matrix ``A``, validated and
+    factored once.
 
-    ``A`` must be symmetric positive semidefinite (validated to 1e-8
-    eigenvalue tolerance; tiny asymmetry is symmetrized away).  Its
-    eigendecomposition is kept for the solver.
+    ``A`` must be square, finite, symmetric and PSD (both to 1e-8 of its
+    scale; tiny asymmetry is symmetrized away).  ``eigenvalues``
+    (ascending) and ``eigenvectors`` are its symmetric eigendecomposition,
+    and the smallest eigenvalue is the PSD check.  Programs over the same
+    Q'Q/n share one Gram, and with it one decomposition.
     """
 
     A: np.ndarray
-    b_lin: np.ndarray
-    reg: float
-    radius: float
-    _eigh: tuple[np.ndarray, np.ndarray] = field(
-        init=False, repr=False, compare=False
-    )
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.array(self.A, dtype=np.float64, copy=True)
-        b = np.array(self.b_lin, dtype=np.float64, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"A must be square, got shape {a.shape}")
-        if b.ndim != 1 or b.shape[0] != a.shape[0]:
-            raise ValueError(
-                f"b_lin must be a vector matching A, got {b.shape} vs {a.shape}"
-            )
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not np.all(np.isfinite(a)):
             raise ValueError("program coefficients must be finite")
-        if self.reg < 0:
-            raise ValueError(f"reg must be >= 0, got {self.reg!r}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be > 0, got {self.radius!r}")
         scale = float(np.max(np.abs(a))) if a.size else 0.0
         asym = float(np.max(np.abs(a - a.T)))
         if asym > 1e-8 * (1.0 + scale):
@@ -110,11 +104,51 @@ class QuadraticProgram:
         min_eig = float(eigenvalues[0])
         if min_eig < -1e-8 * (1.0 + scale):
             raise ValueError(f"A is not positive semidefinite (min eigenvalue {min_eig:.3e})")
-        for arr in (a, b, eigenvalues, eigenvectors):
+        for arr in (a, eigenvalues, eigenvectors):
             arr.flags.writeable = False
         object.__setattr__(self, "A", a)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
+
+    @classmethod
+    def of_rows(cls, q_stats: np.ndarray) -> Gram:
+        """The Gram Q'Q/n of stacked rows Q of shape (n, d)."""
+        return cls(q_stats.T @ q_stats / q_stats.shape[0])
+
+
+@dataclass(frozen=True)
+class QuadraticProgram:
+    """(1/2) w'Aw + b.w + (reg/2)||w||^2 over the ball of ``radius``,
+    defined up to an additive constant (which moves no minimizer).
+
+    ``A`` is a symmetric PSD array, which is validated and factored here
+    into a :class:`Gram`, or a Gram already factored.  Either way, after
+    construction ``A`` is the validated array and ``gram`` its Gram.
+    """
+
+    A: np.ndarray | Gram
+    b_lin: np.ndarray
+    reg: float
+    radius: float
+    gram: Gram = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        gram = self.A if isinstance(self.A, Gram) else Gram(self.A)
+        b = np.array(self.b_lin, dtype=np.float64, copy=True)
+        if b.ndim != 1 or b.shape[0] != gram.A.shape[0]:
+            raise ValueError(
+                f"b_lin must be a vector matching A, got {b.shape} vs {gram.A.shape}"
+            )
+        if not np.all(np.isfinite(b)):
+            raise ValueError("program coefficients must be finite")
+        if self.reg < 0:
+            raise ValueError(f"reg must be >= 0, got {self.reg!r}")
+        if self.radius <= 0:
+            raise ValueError(f"radius must be > 0, got {self.radius!r}")
+        b.flags.writeable = False
+        object.__setattr__(self, "A", gram.A)
         object.__setattr__(self, "b_lin", b)
-        object.__setattr__(self, "_eigh", (eigenvalues, eigenvectors))
+        object.__setattr__(self, "gram", gram)
 
     @property
     def dim(self) -> int:
@@ -182,7 +216,7 @@ def minimize_ball_constrained(program: QuadraticProgram) -> SolverResult:
     The result may exceed the radius in the last bits; the learners
     project it into the ball.
     """
-    eigenvalues, eigenvectors = program._eigh
+    eigenvalues, eigenvectors = program.gram.eigenvalues, program.gram.eigenvectors
     # A is PSD only up to the validation tolerance, so clip at zero.
     h = np.maximum(eigenvalues, 0.0) + program.reg
     radius = program.radius
@@ -225,7 +259,7 @@ def minimize_ball_constrained(program: QuadraticProgram) -> SolverResult:
 
 
 def assemble_plain(
-    q_stats: np.ndarray,
+    q_stats: np.ndarray | Gram,
     p_stats: np.ndarray,
     radius: float,
     reg_coeff: float = 0.0,
@@ -234,13 +268,15 @@ def assemble_plain(
     """Program over stacked statistics (Q, P) of n rows: the mean of
     (1/2)(q.w)^2 - p.w, plus (reg_coeff/2n)||w||^2, plus tilt.w/n when a
     ``tilt`` vector is given.  Every server-side program is built here,
-    from clean statistics and from released ones alike."""
-    n = q_stats.shape[0]
+    from clean statistics and from released ones alike.  ``q_stats`` may
+    be the :class:`Gram` of Q in place of Q, so that programs over the
+    same rows share one factorisation."""
+    n = p_stats.shape[0]
     b_lin = -p_stats.mean(axis=0)
     if tilt is not None:
         b_lin = b_lin + tilt / n
     return QuadraticProgram(
-        A=q_stats.T @ q_stats / n,
+        A=q_stats if isinstance(q_stats, Gram) else Gram.of_rows(q_stats),
         b_lin=b_lin,
         reg=reg_coeff / n,
         radius=radius,
@@ -267,11 +303,46 @@ def assemble_released(
     return assemble_plain(released.Q, released.P, constants.radius, ridge)
 
 
+@dataclass(frozen=True)
+class FactoredDataset:
+    """A dataset encoded once under ``spec``, with the Gram of its Q.
+
+    ``stats`` is the (Q, P, S) that ``spec.encode_dataset`` returned and
+    ``gram`` is Q'Q/n, validated and factored.  The clean learners take
+    it in place of the dataset, and :func:`empirical_objective` takes its
+    ``stats``, so one harness cell encodes and factors its training set
+    once for all of them, with the same bits as encoding it for each.
+    """
+
+    spec: LossSpec
+    stats: tuple[np.ndarray, np.ndarray, np.ndarray]
+    gram: Gram
+
+
+def factor_dataset(dataset: Dataset, spec: LossSpec) -> FactoredDataset:
+    """Encode ``dataset`` and factor the Gram of its Q (see :class:`FactoredDataset`)."""
+    stats = spec.encode_dataset(dataset)
+    return FactoredDataset(spec, stats, Gram.of_rows(stats[0]))
+
+
+def _factored(data: Dataset | FactoredDataset, spec: LossSpec) -> FactoredDataset:
+    """``data`` factored under ``spec``; refuses one factored under another loss."""
+    if not isinstance(data, FactoredDataset):
+        return factor_dataset(data, spec)
+    if data.spec != spec:
+        raise ValueError(
+            f"dataset was encoded for the {data.spec.name} loss with {data.spec.constants}, "
+            f"not for the {spec.name} loss with {spec.constants}"
+        )
+    return data
+
+
 def learn_non_private(
-    dataset: Dataset, spec: LossSpec, reg_coeff: float = 0.0
+    dataset: Dataset | FactoredDataset, spec: LossSpec, reg_coeff: float = 0.0
 ) -> ModelVector:
     """Ball-constrained minimizer of the clean empirical objective."""
-    program = assemble_plain(*spec.encode_dataset(dataset)[:2], spec.constants.radius, reg_coeff)
+    data = _factored(dataset, spec)
+    program = assemble_plain(data.gram, data.stats[1], spec.constants.radius, reg_coeff)
     result = minimize_ball_constrained(program)
     return project_to_ball(result.w, spec.constants.radius)
 
@@ -293,7 +364,7 @@ def learn_input_perturbed(
 
 
 def learn_objective_perturbed(
-    dataset: Dataset,
+    dataset: Dataset | FactoredDataset,
     spec: LossSpec,
     budget: PrivacyBudget,
     rng: RngStream,
@@ -312,22 +383,22 @@ def learn_objective_perturbed(
     if reg_cap is None:
         reg_cap = recommend_reg_cap(constants, budget)
     explicit_ridge(reg_cap, constants.smoothness, budget.epsilon)  # refuses a cap below the floor
+    data = _factored(dataset, spec)
+    dim = data.stats[0].shape[1]
     if noise_override is not None:
         b = np.asarray(noise_override, dtype=np.float64)
-        if b.shape != (dataset.dim,):
-            raise ValueError(
-                f"noise_override must have shape ({dataset.dim},), got {b.shape}"
-            )
+        if b.shape != (dim,):
+            raise ValueError(f"noise_override must have shape ({dim},), got {b.shape}")
     else:
         sd = math.sqrt(linear_noise_variance(budget, constants.lipschitz))
-        b = rng.generator().standard_normal(dataset.dim) * sd
-    program = assemble_plain(*spec.encode_dataset(dataset)[:2], constants.radius, reg_cap, tilt=b)
+        b = rng.generator().standard_normal(dim) * sd
+    program = assemble_plain(data.gram, data.stats[1], constants.radius, reg_cap, tilt=b)
     result = minimize_ball_constrained(program)
     return project_to_ball(result.w, constants.radius)
 
 
 def learn_output_perturbed(
-    dataset: Dataset,
+    dataset: Dataset | FactoredDataset,
     spec: LossSpec,
     epsilon: float,
     rng: RngStream,
@@ -346,18 +417,19 @@ def learn_output_perturbed(
     if reg_strength <= 0:
         raise ValueError(f"reg_strength must be > 0, got {reg_strength!r}")
     constants = spec.constants
-    n = len(dataset)
-    program = assemble_plain(*spec.encode_dataset(dataset)[:2], constants.radius, reg_strength * n)
+    data = _factored(dataset, spec)
+    n, dim = data.stats[0].shape
+    program = assemble_plain(data.gram, data.stats[1], constants.radius, reg_strength * n)
     result = minimize_ball_constrained(program)
     gen = rng.generator()
-    direction = gen.standard_normal(dataset.dim)
+    direction = gen.standard_normal(dim)
     nrm = float(np.linalg.norm(direction))
     if nrm == 0.0:  # probability-zero guard
-        direction = np.zeros(dataset.dim)
+        direction = np.zeros(dim)
         direction[0] = 1.0
         nrm = 1.0
     magnitude = gen.gamma(
-        shape=dataset.dim, scale=2.0 * constants.lipschitz / (n * reg_strength * epsilon)
+        shape=dim, scale=2.0 * constants.lipschitz / (n * reg_strength * epsilon)
     )
     return project_to_ball(result.w + direction * (magnitude / nrm), constants.radius)
 

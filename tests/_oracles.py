@@ -320,24 +320,29 @@ def read_csv_reference(path) -> tuple[list[str], np.ndarray]:
     Refuses, in file order, a row whose field count differs from the
     header's or with a field ``float`` refuses; then a file with no data
     row; then the first row holding a NaN or an infinity.  The messages
-    are the library reader's.
+    are the library reader's, and name the physical line on which the
+    row starts (a quoted field can span lines).
     """
     with open(path, newline="") as fh:
         records = csv.reader(fh)
         header = next(records, [])
-        rows: list[list[float]] = []
-        for line_no, record in enumerate(records, start=2):
+        rows: list[tuple[int, list[float]]] = []
+        while True:
+            line_no = records.line_num + 1
+            record = next(records, None)
+            if record is None:
+                break
             if len(record) != len(header):
                 raise ValueError(
                     f"{path}:{line_no}: expected {len(header)} fields, got {len(record)}"
                 )
             try:
-                rows.append([float(field) for field in record])
+                rows.append((line_no, [float(field) for field in record]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: non-numeric value ({exc})") from None
     if not rows or not header:
         raise ValueError(f"{path}: need a header row and at least one data row")
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows:
         if not all(math.isfinite(value) for value in row):
             raise ValueError(f"{path}:{line_no}: non-finite value")
-    return header, np.array(rows, dtype=np.float64)
+    return header, np.array([row for _, row in rows], dtype=np.float64)

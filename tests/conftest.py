@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 import inputdp
@@ -34,3 +35,17 @@ def flagship_run():
     report = inputdp.run_experiment(config, workers=4)
     elapsed = time.monotonic() - started
     return report, elapsed
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The matrices passed to ``np.linalg.eigh`` while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls

@@ -551,6 +551,22 @@ class TestDpVerifier:
             observed = dp_verifier_gaussian_1d(1.0, sigma, epsilon)
             assert abs(observed - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("epsilon, offset", [(705.0, -9.0), (650.0, -12.0)])
+    def test_subnormal_second_tail_against_mpmath(self, epsilon, offset):
+        # exp(epsilon) is finite but the second tail, near Phi(-38), has
+        # fallen below the normal float range and lost its bits.
+        mpmath = pytest.importorskip("mpmath")
+        sigma = 1.0 / (offset + math.sqrt(offset * offset + 2.0 * epsilon))
+        with mpmath.workdps(50):
+            mu = 1 / mpmath.mpf(sigma)
+            eps = mpmath.mpf(epsilon)
+            exact = mpmath.ncdf(mu / 2 - eps / mu) - mpmath.exp(eps) * mpmath.ncdf(
+                -mu / 2 - eps / mu
+            )
+            assert exact > 0
+            observed = dp_verifier_gaussian_1d(1.0, sigma, epsilon)
+            assert abs(observed - exact) <= 1e-12 * exact
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dp_verifier_gaussian_1d(0.0, 1.0, 0.5)
@@ -593,6 +609,15 @@ class TestNoiseFreeGap:
                 assert gap["distance"] <= gap["distance_bound"] * (1 + 1e-9)
                 assert gap["utility_gap"] <= gap["utility_bound"] * (1 + 1e-9)
         assert applicable == 10
+
+    def test_both_programs_share_one_eigendecomposition(self, small_dataset, eigh_calls):
+        spec = linear_regression_loss(dim=3, radius=1.0)
+        cal = calibrate(BUDGET, 40, spec.constants)
+        _, record = perturb_dataset(
+            small_dataset, spec, cal, RngStream(40, path=(67,)), record_noise=True
+        )
+        noise_free_gap(small_dataset, spec, record, 4.0, BUDGET.epsilon)
+        assert len(eigh_calls) == 1
 
     def test_rejects_cap_below_floor(self, small_dataset):
         spec = linear_regression_loss(dim=3, radius=1.0)

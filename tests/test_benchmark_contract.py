@@ -5,9 +5,11 @@ library functions, and a metric whose function has gone is dropped from
 the result.  So a change that renames or removes one of those functions,
 or that makes a metric non-finite, breaks the benchmark's result line
 without failing a job.  One test runs one traced job of every workload
-and checks what the runner would report; two more run the runner itself,
-on a short traced flagship run and a one-job untraced verify run, and
-parse its last stdout line, the result line, as strict JSON.
+and checks what the runner would report, and one checks on traced
+csv_ill and flagship jobs that a cell encodes its training set at most
+twice.  Two more run the runner itself, on a short traced flagship run
+and a one-job untraced verify run, and parse its last stdout line, the
+result line, as strict JSON.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ PER_LAYER = [
 ]
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_traced_job_reports_every_per_layer_metric(name, tmp_path):
-    workload = WORKLOADS[name](inputdp, 0, str(tmp_path))
+def _traced_job(name: str, workdir) -> tuple[object, Tracer, dict]:
+    """Run one job of a workload at seed 0 under the tracer; returns the
+    workload, the tracer and the job's per-layer metrics."""
+    workload = WORKLOADS[name](inputdp, 0, str(workdir))
     tracer = Tracer()
     tracer.install()
     try:
@@ -48,13 +51,27 @@ def test_traced_job_reports_every_per_layer_metric(name, tmp_path):
         wall = time.perf_counter() - start
     finally:
         tracer.remove()
+    spans = layers.JobSpans(tracer.spans, 0, wall, workload)
+    return workload, tracer, layers.job_metrics(spans, tracer.wrapped)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_traced_job_reports_every_per_layer_metric(name, tmp_path):
+    workload, tracer, metrics = _traced_job(name, tmp_path)
     assert workload.check(workload.output(), first=True) == []
     assert layers.absent(tracer.wrapped) == []
-    spans = layers.JobSpans(tracer.spans, 0, wall, workload)
-    metrics = layers.job_metrics(spans, tracer.wrapped)
     assert {k: v for k, v in metrics.items() if not math.isfinite(v)} == {}
     # trace.overhead compares traced with untraced jobs; the runner adds it.
     assert set(PER_LAYER) - set(metrics) == {layers.OVERHEAD[0]}
+
+
+@pytest.mark.parametrize("name", ["csv_ill", "flagship"])
+def test_a_cell_encodes_its_training_set_at_most_twice(name, tmp_path):
+    # Once for the clean learners and the objectives, which share one
+    # encoding, and once inside the contributor release.
+    _, tracer, metrics = _traced_job(name, tmp_path)
+    assert layers.absent(tracer.wrapped) == []
+    assert 0 < metrics["loss.encode_rows_per_train_row"] <= 2
 
 
 def _reject_non_finite(constant: str):

@@ -5,6 +5,7 @@ tests/_oracles.py."""
 from __future__ import annotations
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -274,6 +275,22 @@ class TestReadCsvTable:
         observed = read_outcome(core._read_csv_table, path)
         assert observed == read_outcome(read_csv_reference, path)
         assert (len(observed) == 3) == accepted
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('"a\nb",c\n1,2\n1,x\n', ":4: non-numeric value"),  # header spans lines 1-2
+            ('"a\nb",c\n1,2\n1,nan\n', ":4: non-finite value"),
+            ('a,b\n"1\n",2\n1,x\n', ":4: non-numeric value"),  # body row spans lines 2-3
+            ('a,b\n"1\n",2\n1,nan\n', ":4: non-finite value"),
+            ('a,b\n1,2\n"1\n",x\n', ":3: non-numeric value"),  # a row's first line
+        ],
+    )
+    def test_errors_name_the_physical_line(self, tmp_path, text, message):
+        path = tmp_path / "lines.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}{message}")):
+            core._read_csv_table(path)
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="01.,-+e \t\r\n\"_#xinf\x0b\x1c\u3000\u0661", max_size=40))

@@ -34,6 +34,7 @@ from inputdp import (
     report_json_text,
     run_experiment,
 )
+from inputdp.harness import MECHANISMS
 from tests.conftest import FLAGSHIP_N_GRID
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -373,6 +374,22 @@ class TestRunExperiment:
         cell = report.cell("output", 16)
         assert cell.trials == 2
         assert np.isfinite(cell.metric_mean)
+
+    def test_a_cell_factors_each_gram_matrix_once(self, tmp_path, eigh_calls):
+        # One eigendecomposition for the clean training set (shared by
+        # non_private, objective and output) and one for the release.
+        gen = np.random.default_rng(7)
+        table = gen.normal(size=(40, 4))
+        path = tmp_path / "pool.csv"
+        path.write_text(
+            "f1,f2,f3,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+        )
+        config = ExperimentConfig(
+            data="csv", csv_path=str(path), target_column="y", n_grid=(32,), trials=1, seed=3
+        )
+        report = run_experiment(config)
+        assert {c.mechanism for c in report.cells} == set(MECHANISMS)
+        assert len(eigh_calls) == 2
 
     @pytest.mark.parametrize("pool_size", [0, -5])
     @pytest.mark.parametrize(

@@ -36,6 +36,7 @@ from inputdp import (
     learn_output_perturbed,
     linear_regression_loss,
     load_model,
+    make_loss,
     min_feasible_n,
     minimize_ball_constrained,
     perturb_dataset,
@@ -43,6 +44,7 @@ from inputdp import (
     ridge_floor,
     save_model,
 )
+from inputdp.solver import Gram, factor_dataset
 from tests._oracles import (
     exact_ball_loop,
     grid_minimum,
@@ -595,6 +597,74 @@ class TestLearnOutputPerturbed:
             learn_output_perturbed(dataset, spec, 0.0, RngStream(0))
         with pytest.raises(ValueError, match="reg_strength"):
             learn_output_perturbed(dataset, spec, 1.0, RngStream(0), reg_strength=0.0)
+
+
+class TestSharedGram:
+    """The clean learners and the objective, fed one factored training
+    set, give the bits they give on the bare dataset."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["linear_regression", "logistic"]),
+        n=st.integers(1, 60),
+        dim=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        reg_coeff=st.floats(0.0, 10.0),
+        cap_over_floor=st.floats(1.0, 10.0),
+        tilt_scale=st.floats(0.0, 10.0),
+        reg_strength=st.floats(1e-4, 10.0),
+    )
+    def test_factored_dataset_gives_the_same_bits(
+        self, family, n, dim, seed, reg_coeff, cap_over_floor, tilt_scale, reg_strength
+    ):
+        gen = np.random.default_rng(seed)
+        ds = random_dataset(gen, n, dim)
+        if family == "logistic":
+            ds = Dataset(features=ds.features, labels=np.where(ds.labels >= 0.0, 1.0, -1.0))
+        spec = make_loss(family, radius=1.0, dim=dim)
+        clean = factor_dataset(ds, spec)
+        reg_cap = cap_over_floor * ridge_floor(spec.constants.smoothness, BUDGET.epsilon)
+        tilt = gen.standard_normal(dim) * tilt_scale
+        models = []
+        for data in (ds, clean):
+            models.append((
+                learn_non_private(data, spec, reg_coeff),
+                learn_objective_perturbed(
+                    data, spec, BUDGET, RngStream(seed), reg_cap, noise_override=tilt
+                ),
+                learn_objective_perturbed(data, spec, BUDGET, RngStream(seed), reg_cap),
+                learn_output_perturbed(data, spec, 0.7, RngStream(seed), reg_strength),
+            ))
+        for bare, shared in zip(*models):
+            assert np.array_equal(shared.w, bare.w)
+            assert empirical_objective(clean.stats, spec, bare, reg_coeff) == empirical_objective(
+                ds, spec, bare, reg_coeff
+            )
+
+    def test_refuses_a_dataset_factored_for_another_loss(self):
+        ds = random_dataset(np.random.default_rng(3), 10, 2)
+        clean = factor_dataset(ds, linear_regression_loss(dim=2, radius=1.0))
+        with pytest.raises(ValueError, match="encoded for the linear_regression loss"):
+            learn_non_private(clean, linear_regression_loss(dim=2, radius=2.0))
+
+    def test_programs_share_the_gram_and_its_decomposition(self):
+        gram = Gram(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        one = QuadraticProgram(A=gram, b_lin=np.ones(2), reg=0.0, radius=1.0)
+        two = QuadraticProgram(A=gram, b_lin=np.zeros(2), reg=3.0, radius=2.0)
+        assert one.gram is gram and two.gram is gram
+        assert one.A is gram.A
+        fresh = QuadraticProgram(A=gram.A, b_lin=np.ones(2), reg=0.0, radius=1.0)
+        assert np.array_equal(fresh.gram.eigenvalues, gram.eigenvalues)
+        assert np.array_equal(minimize_ball_constrained(fresh).w, minimize_ball_constrained(one).w)
+
+    def test_refuses_a_non_symmetric_or_indefinite_matrix(self):
+        for make in (Gram, lambda a: QuadraticProgram(A=a, b_lin=np.zeros(2), reg=0.0, radius=1.0)):
+            with pytest.raises(ValueError, match=r"^A is not symmetric \(max asymmetry 3\.000e-01\)$"):
+                make(np.array([[1.0, 0.5], [0.2, 1.0]]))
+            with pytest.raises(
+                ValueError, match=r"^A is not positive semidefinite \(min eigenvalue -1\.000e\+00\)$"
+            ):
+                make(np.diag([-1.0, 2.0]))
 
 
 class TestModelArtifacts:
